@@ -8,22 +8,19 @@ Public surface:
 * :class:`Instruction` / :class:`Mnemonic` plus :func:`encode` /
   :func:`decode` — the supported ISA subset.
 * :class:`Usart`, :class:`FeedLine` — peripherals used by the firmware.
-* The execution engines (``predecoded`` decode-cache engine, default;
-  the ``blocks`` superblock engine; the ``compiled`` exec-specialized
-  engine; and the ``interpreter`` reference) with the lockstep
-  differential helpers :func:`run_lockstep` / :class:`CpuStateStream`.
+* The execution engines (the tiered ``compiled`` engine, default, and
+  the ``interpreter`` reference) with the lockstep differential helpers
+  :func:`run_lockstep` / :class:`CpuStateStream`.
 """
 
 from .cpu import AvrCpu, RETURN_ADDRESS_BYTES
 from .decoder import decode, decode_at, disassemble_range, iter_instructions
 from .devices import EepromController, FeedLine, Usart
 from .encoder import encode, encode_bytes, encode_stream
-from .engine import DEFAULT_ENGINE, ENGINES, InterpreterEngine, PredecodedEngine
+from .engine import DEFAULT_ENGINE, ENGINES, InterpreterEngine
 
-# imported after .engine: BlockEngine and CompiledEngine register
-# themselves at the bottom of engine.py, so .engine must finish executing
-# before .blocks / .compiled are entered
-from .blocks import BlockEngine
+# imported after .engine: CompiledEngine registers itself at the bottom of
+# engine.py, so .engine must finish executing before .compiled is entered
 from .compiled import CompiledEngine
 from .insn import CONTROL_FLOW, TWO_WORD, Instruction, Mnemonic
 from .memory import (
@@ -55,8 +52,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ENGINES",
     "InterpreterEngine",
-    "PredecodedEngine",
-    "BlockEngine",
     "CompiledEngine",
     "CpuStateStream",
     "diff_state_streams",

@@ -1,13 +1,12 @@
-"""Basic-block superblock engine: fuse straight-line decodes, hoist the
-per-instruction preamble to block boundaries.
+"""Superblock fusion: the compiled engine's block builder.
 
-The predecoded engine removed decode cost from the hot loop but still pays
-the full retire preamble — pending-interrupt check, flash-generation
-compare, code-limit check, cycle/instruction accounting — on **every**
-instruction.  :class:`BlockEngine` fuses consecutive predecoded entries
-into *superblocks* and pays that preamble **once per block**: inside a
-block, handlers execute back-to-back with nothing between them, and
-cycles/instruction counters are accumulated from precomputed block totals.
+The compiled engine (:mod:`repro.avr.compiled`) retires code in
+*superblocks* — maximal straight-line runs starting at a block head —
+and pays the per-instruction retire preamble (pending-interrupt check,
+flash-generation compare, code-limit check) once per block instead of
+once per instruction.  This module holds the fusion rules both of its
+tiers share, and :func:`fuse`, which turns a head address into a
+:class:`Superblock`.
 
 Fusion rules (a block's last instruction is its *terminator*):
 
@@ -30,33 +29,26 @@ only at block boundaries, which bounds service latency at ``FUSE_CAP``
 instructions.  In practice the terminator set makes the latency *exact*:
 ``(pending and SREG.I)`` cannot become true mid-block, because every
 instruction that can set I or request an interrupt (via a write hook)
-ends its block — so the next boundary is exactly where the
-per-instruction engines would have serviced it.  When any trace hook
-(:class:`~repro.avr.trace.CpuStateStream`, lockstep harness, execution
-traces) is attached, the engine transparently degrades to the inherited
-per-instruction loop, so hook streams and ``run_lockstep`` parity stay
-bit-exact by construction.
+ends its block — so the next boundary is exactly where a per-instruction
+engine would have serviced it.
 
-Correctness invariants shared with the predecoded engine:
+Invariants:
 
-* block caches are keyed by ``FlashMemory.generation`` exactly like the
-  per-word decode entries — a MAVR reflash or SPM self-write can never
-  execute a stale fused block;
+* blocks are fused from the engine's per-generation decode entries, so
+  they share the decode cache's validity rule: a MAVR reflash or SPM
+  self-write drops every fused block;
 * blocks are keyed by their **entry word address**: jumping into the
   second word of a ``call`` (the misaligned-execution property the ROP
   gadget finder exploits) starts a *new* block fused from that address,
-  never a reuse of the aligned one;
-* ``run(n)`` retires exactly ``n`` instructions (or fewer on halt): when
-  the remaining budget is smaller than the next block, the tail retires
-  through the per-instruction path.
+  never a reuse of the aligned one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from ..errors import CpuFault, IllegalExecutionError, MemoryAccessError
-from .engine import Entry, Halt, PredecodedEngine, retire_preamble
+from ..errors import IllegalExecutionError
+from .engine import Handler
 from .insn import CONTROL_FLOW, Instruction, Mnemonic
 
 # Fixed fusion cap: backstop for pathological straight-line runs, and the
@@ -79,9 +71,13 @@ TERMINATORS = frozenset(
     CONTROL_FLOW | WRITE_CAPABLE | {Mnemonic.BREAK, Mnemonic.SLEEP}
 )
 
+# One decoded flash word as the compiled engine caches it: (handler,
+# instruction, size in words, base cycle cost, ends a superblock).
+Decoded = Tuple[Handler, Instruction, int, int, bool]
+
 
 def is_terminator(insn: Instruction) -> bool:
-    """Whether ``insn`` ends a superblock (shared by blocks and compiled)."""
+    """Whether ``insn`` ends a superblock."""
     mnemonic = insn.mnemonic
     return mnemonic in TERMINATORS or (
         mnemonic is Mnemonic.BSET and insn.b == _SREG_I_BIT
@@ -92,12 +88,12 @@ class Superblock:
     """One fused run of straight-line code starting at ``start`` (words).
 
     ``body`` holds every instruction but the terminator as bare
-    ``(handler, insn)`` pairs — nothing else runs between them.
-    ``body_meta`` mirrors ``body`` with ``(next_pc, pc_bytes,
-    cycles_before)`` per slot, used only on the cold fault path to
-    reconstruct exact per-instruction state.  The terminator is kept
-    unpacked in ``last_*`` fields because it is the only instruction that
-    needs PC set before it runs.
+    ``(handler, insn)`` pairs.  ``body_meta`` mirrors ``body`` with
+    ``(next_pc, pc_bytes, cycles_before)`` per slot; it reconstructs exact
+    per-instruction state when a body instruction faults, and the block
+    profiler's per-PC weights.  The terminator is kept unpacked in
+    ``last_*`` fields because it is the only instruction that needs PC
+    set before it runs.
     """
 
     __slots__ = (
@@ -113,13 +109,13 @@ class Superblock:
         "count",
     )
 
-    def __init__(self, start: int, entries: List[Tuple[int, Entry]]) -> None:
+    def __init__(self, start: int, entries: List[Tuple[int, Decoded]]) -> None:
         self.start = start
-        last_pc, (last_handler, last_insn, last_size, last_base) = entries[-1]
+        last_pc, (last_handler, last_insn, last_size, last_base, _) = entries[-1]
         body = []
         meta = []
         cycles = 0
-        for pc, (handler, insn, size, base) in entries[:-1]:
+        for pc, (handler, insn, size, base, _) in entries[:-1]:
             body.append((handler, insn))
             meta.append((pc + size, pc * 2, cycles))
             cycles += base
@@ -134,176 +130,32 @@ class Superblock:
         self.count = len(entries)
 
 
-class BlockEngine(PredecodedEngine):
-    """Superblock engine: per-instruction semantics, per-block overhead."""
+def fuse(
+    start_pc: int, fetch: Callable[[int], Decoded], limit: Optional[int]
+) -> Superblock:
+    """Fuse the superblock that begins at ``start_pc``.
 
-    name = "blocks"
-
-    def __init__(self, cpu) -> None:
-        super().__init__(cpu)
-        self._blocks: Dict[int, Superblock] = {}
-        # telemetry accumulators, sampled pull-style at snapshot time
-        self.blocks_built = 0
-        self.blocks_entered = 0
-        self.fusion_lengths: List[int] = []  # append-only build log
-
-    # -- cache maintenance ----------------------------------------------
-
-    def _sync_cache(self):
-        # Blocks are fused from decode entries, so they share the decode
-        # cache's validity rule: drop everything when flash changed.  The
-        # dict is cleared in place so hot-loop locals stay bound to it.
-        if self.cpu.flash.generation != self._generation:
-            self._blocks.clear()
-        return super()._sync_cache()
-
-    # -- fusion ----------------------------------------------------------
-
-    def _fetch_for_fusion(self, pc: int) -> Entry:
-        """One decode entry, through the shared per-word cache."""
-        cache = self._cache
-        if 0 <= pc < len(cache):
-            entry = cache[pc]
-            if entry is None:
-                entry = cache[pc] = self._entry_at(pc)
-            return entry
-        return self._entry_at(pc)
-
-    def _build_block(self, start_pc: int) -> Superblock:
-        """Fuse a superblock beginning at ``start_pc``.
-
-        The first entry's decode/limit errors propagate — they are exactly
-        what the per-instruction engines would raise at this PC.  Errors on
-        *later* words just stop fusion: the offending address becomes its
-        own (unbuildable) block entry and raises the identical error when
-        the PC actually reaches it.
-        """
-        cpu = self.cpu
-        limit = cpu.code_limit
-        entries: List[Tuple[int, Entry]] = []
-        pc = start_pc
-        while True:
-            if entries:
-                if limit is not None and pc * 2 >= limit:
-                    break
-                try:
-                    entry = self._fetch_for_fusion(pc)
-                except IllegalExecutionError:
-                    break
-            else:
-                entry = self._fetch_for_fusion(pc)
-            entries.append((pc, entry))
-            insn = entry[1]
-            pc += entry[2]
-            if is_terminator(insn) or len(entries) >= FUSE_CAP:
+    ``fetch`` returns the decoded entry at a word address.  The first
+    entry's decode errors propagate — they are exactly what per-
+    instruction execution would raise at this PC.  Errors on *later*
+    words, or reaching the image ``limit`` (bytes), just stop fusion: the
+    offending address becomes its own block head and raises the identical
+    error when the PC actually reaches it.
+    """
+    entries: List[Tuple[int, Decoded]] = []
+    pc = start_pc
+    while True:
+        if entries:
+            if limit is not None and pc * 2 >= limit:
                 break
-        block = Superblock(start_pc, entries)
-        self.blocks_built += 1
-        self.fusion_lengths.append(block.count)
-        return block
-
-    # -- execution --------------------------------------------------------
-
-    def _raise_body_fault(
-        self, block: Superblock, handler, insn: Instruction, exc: MemoryAccessError
-    ) -> None:
-        """Rebuild exact per-instruction state for a fault inside a body.
-
-        Each body slot holds a distinct ``Instruction`` object (one decode
-        per word address), so an identity scan pins the faulting slot.
-        """
-        cpu = self.cpu
-        index = 0
-        for index, (slot_handler, slot_insn) in enumerate(block.body):
-            if slot_handler is handler and slot_insn is insn:
+            try:
+                entry = fetch(pc)
+            except IllegalExecutionError:
                 break
-        next_pc, pc_bytes, cycles_before = block.body_meta[index]
-        cpu.pc = next_pc
-        cpu.cycles += cycles_before
-        cpu.instructions_retired += index
-        raise CpuFault(str(exc), pc_bytes, cpu.cycles) from exc
-
-    def _execute_block(self, block: Superblock) -> None:
-        """Retire one fused block through the per-slot handler path.
-
-        This is the reusable form of the body of :meth:`run`'s loop — the
-        compiled engine executes not-yet-compiled (or budget-capped) blocks
-        through it so both engines share one definition of the block retire
-        sequence.  ``run`` keeps its own inlined copy because the extra
-        method call per block is measurable on the hot loop.
-        """
-        cpu = self.cpu
-        try:
-            for handler, insn in block.body:
-                handler(cpu, insn)
-        except MemoryAccessError as exc:
-            self._raise_body_fault(block, handler, insn, exc)
-        cpu.cycles += block.body_cycles
-        cpu.pc = block.last_next_pc
-        try:
-            block.last_handler(cpu, block.last_insn)
-        except Halt:
-            cpu.halted = True
-        except MemoryAccessError as exc:
-            cpu.instructions_retired += block.count - 1
-            raise CpuFault(str(exc), block.last_pc_bytes, cpu.cycles) from exc
-        cpu.cycles += block.last_base_cycles
-        cpu.instructions_retired += block.count
-        profile = self.profile_hook
-        if profile is not None:
-            profile[block] = profile.get(block, 0) + 1
-
-    def run(self, max_instructions: int) -> int:
-        """Retire whole superblocks; fall back per-instruction when needed."""
-        cpu = self.cpu
-        flash = cpu.flash
-        self._sync_cache()
-        blocks = self._blocks
-        get_block = blocks.get
-        build = self._build_block
-        preamble = retire_preamble
-        per_instruction = PredecodedEngine.run
-        profile = self.profile_hook
-        executed = 0
-        while not cpu.halted and executed < max_instructions:
-            if cpu.trace_hooks:
-                # exact-latency fallback: a trace/lockstep hook is watching,
-                # so retire one instruction at a time with hooks firing
-                return executed + per_instruction(self, max_instructions - executed)
-            pc = preamble(cpu)
-            if flash.generation != self._generation:
-                self._sync_cache()
-            block = get_block(pc)
-            limit = cpu.code_limit
-            if block is None or (limit is not None and block.last_pc_bytes >= limit):
-                # cold address, or the image limit shrank under a cached
-                # block — refuse (re-fuse) rather than run past the limit
-                block = blocks[pc] = build(pc)
-            count = block.count
-            if count > max_instructions - executed:
-                # budget tail: retire exactly the remaining instructions
-                executed += per_instruction(self, max_instructions - executed)
-                continue
-            body = block.body
-            try:
-                for handler, insn in body:
-                    handler(cpu, insn)
-            except MemoryAccessError as exc:
-                self._raise_body_fault(block, handler, insn, exc)
-            cpu.cycles += block.body_cycles
-            cpu.pc = block.last_next_pc
-            try:
-                block.last_handler(cpu, block.last_insn)
-            except Halt:
-                cpu.halted = True
-            except MemoryAccessError as exc:
-                cpu.instructions_retired += count - 1
-                raise CpuFault(str(exc), block.last_pc_bytes, cpu.cycles) from exc
-            cpu.cycles += block.last_base_cycles
-            cpu.instructions_retired += count
-            executed += count
-            self.blocks_entered += 1
-            if profile is not None:
-                # inline upsert: a method call per block here is measurable
-                profile[block] = profile.get(block, 0) + 1
-        return executed
+        else:
+            entry = fetch(pc)
+        entries.append((pc, entry))
+        pc += entry[2]
+        if entry[4] or len(entries) >= FUSE_CAP:
+            break
+    return Superblock(start_pc, entries)

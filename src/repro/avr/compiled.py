@@ -1,16 +1,37 @@
-"""Compiled superblock engine: exec-generated specialized block bodies.
+"""The fast execution engine: per-instruction cold tier, compiled hot tier.
 
-The blocks engine hoisted the retire preamble to block boundaries but
-still pays a Python function call per instruction inside every fused
-body.  :class:`CompiledEngine` removes that last per-instruction cost:
-for each :class:`~repro.avr.blocks.Superblock` it generates Python source
-that *inlines* the fused instructions — handler bodies specialized on the
-decoded operands, immediates folded as constants, the register file and
-SREG flags held in locals, dead flag computations elided where a later
-instruction in the block overwrites them before any read — and
-``compile()``/``exec()``s it into one callable per block.
+:class:`CompiledEngine` is the simulator's one fast engine (the
+``interpreter`` in :mod:`repro.avr.engine` is the reference it is
+checked against).  It retires code in superblocks (:mod:`repro.avr.blocks`)
+and runs each block head in one of two tiers:
 
-Specialization rules:
+* **Cold tier.**  A head entered fewer than
+  :attr:`CompiledEngine.WARM_THRESHOLD` times in the current flash
+  generation retires through the per-instruction loop over the decode
+  cache, up to the next terminator (or :data:`~repro.avr.blocks.FUSE_CAP`
+  instructions) — no fusion, no codegen.  Code that runs a handful of
+  times per generation (boot paths, reflash storms) never pays for more.
+* **Hot tier.**  A head that reaches the threshold is fused into a
+  :class:`~repro.avr.blocks.Superblock` and bound to a compiled *body*:
+  Python source generated for the block (below) and ``exec``-ed into one
+  callable.
+
+Two process-wide, bounded caches make the tiers cheap across flash
+generations, boards and scenarios:
+
+* **Body cache** (:data:`BODY_CACHE`), keyed by the block's flash
+  *bytes*.  Bodies are position-independent — PC constants are emitted
+  relative to the entry ``pc`` argument, and the register file and SREG
+  are passed on every call — so a body's source is a pure function of
+  its key bytes (absolute ``jmp``/``call`` targets are part of them).
+  MAVR moves every function on every re-randomization, so a key that
+  included the entry address would miss on nearly every generation; the
+  bytes alone keep hitting, and one body serves every layout, every
+  generation and every core in the process.
+* **Decode memo** (:data:`DECODE_MEMO`), keyed by ``(word, next_word)``:
+  re-decoding moved code after a reflash is a lookup, not a decode.
+
+Specialization rules of a compiled body:
 
 * **Registers as locals.**  General registers are memory-mapped plain
   bytes (``DataSpace._bytes[0..31]``, no hooks), so inside a block they
@@ -24,51 +45,60 @@ Specialization rules:
   conservatively read everything; S forces N and V because S = N xor V).
 * **Callouts.**  Instructions whose handlers can fault, reach a data-
   space read hook, or touch non-register state (``lds``, ``ld``/``ldd``,
-  ``pop``, ``in``, ``lpm``) run through their existing ``HANDLERS``
-  entry, bracketed by a flush of every dirty local before and a full
-  reload after — so partial-effect and fault semantics are the
-  handlers', byte for byte.  Stores and control flow never appear in a
-  body (they terminate blocks, see :mod:`repro.avr.blocks`).
+  ``pop``, ``in``, ``lpm``) are bracketed by a flush of every dirty local
+  before and a full reload after, and call either their ``HANDLERS``
+  entry or — for the commonest (:data:`CALLOUT_TEMPLATES`) — the very
+  core method that handler calls, operands folded; partial-effect and
+  fault semantics are the handlers', byte for byte.  Stores and control
+  flow never appear in a body (they terminate blocks).
 * **Terminators.**  ``rjmp``/``jmp``/``ijmp``/conditional branches/
   ``sei``/``sleep`` are inlined with the final PC and the whole block's
   cycle/instruction accounting folded into constants; everything else
-  (calls, returns, stores, skips, ``break``) goes through its handler at
-  a point where the architectural counters are exact — identical to the
-  blocks engine's sequence.
+  (calls, returns, stores, skips, ``break``) runs at a point where the
+  architectural counters are exact, through the core methods of
+  :data:`TERMINATOR_TEMPLATES` or else its handler.
 
-Correctness envelope (all inherited from :class:`BlockEngine` and pinned
-by the 4-engine lockstep harness):
+Correctness envelope (pinned by the interpreter-vs-compiled lockstep and
+end-state tests at the default threshold, all-hot and all-cold):
 
-* compiled callables are cached per ``FlashMemory.generation`` and the
-  cache is **evicted** (cleared, not just invalidated) on any flash
-  write, so reflash/SPM can neither execute stale code nor grow memory;
-* a mid-block fault reconstructs the exact per-instruction
-  :class:`~repro.errors.CpuFault` (pc/cycles/retired) via the block's
-  ``body_meta``, like the blocks engine's cold fault path;
-* interrupts latch any time and are serviced at block boundaries — the
-  same exact-latency argument as the blocks engine, since the terminator
-  set is identical;
-* any attached trace hook degrades execution to the per-instruction
-  predecoded loop, checked every iteration.
-
-Compile budget: scenarios that thrash flash generations (SPM loops, MAVR
-re-randomization storms) would otherwise pay codegen over and over for
-blocks that run once.  Two guards: a block is only compiled on its
-*second* entry within a generation (:attr:`CompiledEngine.WARM_THRESHOLD`),
-and each generation gets a wall-clock compile budget
-(:attr:`CompiledEngine.COMPILE_BUDGET_S`) after which new blocks simply
-run through the shared blocks-engine path — bit-identical, just slower.
+* the decode cache, head counts and fused blocks are dropped on every
+  ``FlashMemory.generation`` change, so a reflash or SPM self-write can
+  never execute a stale decode; shared bodies are keyed by content, so
+  they can never be stale;
+* a fault inside a body reconstructs the exact per-instruction
+  :class:`~repro.errors.CpuFault` (pc/cycles/retired) from the block's
+  per-position ``body_meta``;
+* interrupts latch any time and are serviced at block boundaries (the
+  exact-latency argument in :mod:`repro.avr.blocks`);
+* any attached trace hook degrades execution to an exact per-instruction
+  loop with the full retire preamble, checked every iteration — so
+  ``run_lockstep`` and every trace never execute a body.
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ..errors import CpuFault, MemoryAccessError
-from .blocks import BlockEngine, Superblock
-from .engine import HANDLERS, Halt, PredecodedEngine, _out_of_image_error
+from ..errors import (
+    CpuFault,
+    DecodeError,
+    IllegalExecutionError,
+    MemoryAccessError,
+)
+from .blocks import FUSE_CAP, Decoded, Superblock, fuse, is_terminator
+from .decoder import decode, needs_second_word
+from .engine import (
+    CYCLES_BY_MNEMONIC,
+    HANDLERS,
+    Entry,
+    Halt,
+    _out_of_image_error,
+    retire_preamble,
+)
 from .insn import Instruction, Mnemonic
+from .iospace import IO_TO_DATA_OFFSET, SREG_IO
 
 _SREG_I_BIT = 7
 
@@ -602,6 +632,85 @@ if _orphans:  # pragma: no cover - import-time consistency check
     raise RuntimeError(f"source templates without handlers: {_orphans}")
 
 
+# -- specialized calls ------------------------------------------------------
+#
+# The commonest callouts and handler-call terminators call the very core
+# methods their HANDLERS entry calls (``DataSpace.read``/``write``, the
+# stack helpers) with the operands folded in, instead of going through
+# the handler and its operand decoding.  Every access still goes through
+# those methods, in the handler's order, so hooks and faults behave
+# exactly as the handler's; the flush before and the reload after a
+# callout are unchanged.
+
+
+def _c_lds(g: _Gen, insn: Instruction) -> None:
+    g.invalidate()  # the read may reach a hook: reload everything after it
+    g.assign(insn.rd, f"cpu.data.read({insn.k})")
+
+
+def _c_in(g: _Gen, insn: Instruction) -> None:
+    if insn.a == SREG_IO:
+        source = "s.byte"
+    else:
+        source = f"cpu.data.read({insn.a + IO_TO_DATA_OFFSET})"
+    g.invalidate()
+    g.assign(insn.rd, source)
+
+
+def _c_pop(g: _Gen, insn: Instruction) -> None:
+    g.invalidate()
+    g.assign(insn.rd, "cpu.pop_byte()")
+
+
+CALLOUT_TEMPLATES: Dict[Mnemonic, Callable[[_Gen, Instruction], None]] = {
+    Mnemonic.LDS: _c_lds,
+    Mnemonic.IN: _c_in,
+    Mnemonic.POP: _c_pop,
+}
+
+
+# Terminator emitters run after the flush, with the block's body cycles
+# added and ``cpu.pc`` already at the fall-through ``pc + fall_through``.
+def _t_sts(g: _Gen, insn: Instruction, fall_through: int) -> None:
+    g.raw(f"cpu.data.write({insn.k}, {g.reg(insn.rr)})")
+
+
+def _t_out(g: _Gen, insn: Instruction, fall_through: int) -> None:
+    value = g.reg(insn.rr)
+    if insn.a == SREG_IO:
+        g.raw(f"s.byte = {value}")
+    else:
+        g.raw(f"cpu.data.write({insn.a + IO_TO_DATA_OFFSET}, {value})")
+
+
+def _t_push(g: _Gen, insn: Instruction, fall_through: int) -> None:
+    g.raw(f"cpu.push_byte({g.reg(insn.rr)})")
+
+
+def _t_call(g: _Gen, insn: Instruction, fall_through: int) -> None:
+    g.raw(f"cpu.push_return_address({_pc_at(fall_through)})")
+    g.raw(f"cpu.pc = {insn.k}")
+
+
+def _t_rcall(g: _Gen, insn: Instruction, fall_through: int) -> None:
+    g.raw(f"cpu.push_return_address({_pc_at(fall_through)})")
+    g.raw(f"cpu.pc = {_pc_at(fall_through + insn.k)}")
+
+
+def _t_ret(g: _Gen, insn: Instruction, fall_through: int) -> None:
+    g.raw("cpu.pc = cpu.pop_return_address()")
+
+
+TERMINATOR_TEMPLATES: Dict[Mnemonic, Callable[[_Gen, Instruction, int], None]] = {
+    Mnemonic.STS: _t_sts,
+    Mnemonic.OUT: _t_out,
+    Mnemonic.PUSH: _t_push,
+    Mnemonic.CALL: _t_call,
+    Mnemonic.RCALL: _t_rcall,
+    Mnemonic.RET: _t_ret,
+}
+
+
 # Terminators folded inline (final PC and accounting become constants).
 _INLINE_TERMINATORS = frozenset(
     {
@@ -628,22 +737,32 @@ def _terminator_flag_rw(insn: Instruction) -> Tuple[FrozenSet[str], FrozenSet[st
     return _ALL_FLAGS, frozenset()
 
 
-def compile_superblock(block: Superblock, cpu):
-    """Generate, compile and exec one specialized block callable.
+def _pc_at(offset: int) -> str:
+    """Source for the word address ``offset`` words from the block head."""
+    if offset == 0:
+        return "pc"
+    return f"pc + {offset}" if offset > 0 else f"pc - {-offset}"
 
-    Returns ``(fn, source)``.  The callable performs the whole blocks-
-    engine retire sequence for the block: body, ``body_cycles``, PC to
-    the terminator's fall-through, terminator, ``last_base_cycles``,
-    ``instructions_retired``.  Callout faults surface as
-    :class:`CompiledBodyFault` for the engine to translate.
 
-    ``cpu.data._bytes`` and ``cpu.sreg`` are bound as default arguments —
-    both are created once in ``AvrCpu.__init__`` and never rebound, and a
-    compiled callable only ever runs on the cpu it was compiled for.
+def compile_superblock(block: Superblock):
+    """Generate, compile and exec one position-independent block body.
+
+    Returns ``(fn, source)``.  ``fn(cpu, buf, s, pc)`` performs the whole
+    retire sequence for the block entered at word address ``pc``, with
+    ``buf`` the core's data-space bytes and ``s`` its SREG: body,
+    ``body_cycles``, PC to the terminator's fall-through, terminator,
+    ``last_base_cycles``, ``instructions_retired``.  Callout faults
+    surface as :class:`CompiledBodyFault` for the engine to translate.
+
+    Every PC the body writes is ``pc`` plus a constant (or an absolute
+    ``jmp`` target decoded from the block's own bytes), so the source
+    depends only on the block's instruction bytes: one body serves the
+    same bytes at any address, on any core.
     """
     body = block.body
     terminator = block.last_insn
     count = block.count
+    fall_through = block.last_next_pc - block.start
 
     # Backward flag-liveness: start from "everything live" (the next
     # block reads anything), through the terminator, then the body.
@@ -664,20 +783,22 @@ def compile_superblock(block: Superblock, cpu):
     ns: Dict[str, object] = {
         "_MAE": MemoryAccessError,
         "_CBF": CompiledBodyFault,
-        "_buf": cpu.data._bytes,
-        "_sreg": cpu.sreg,
     }
     has_callout = False
     for j, (handler, insn) in enumerate(body):
         emitter = SOURCE_TEMPLATES.get(insn.mnemonic)
         if emitter is None:
             has_callout = True
-            ns[f"_h{j}"] = handler
-            ns[f"_i{j}"] = insn
             g.flush()
             g.raw(f"_fi = {j}")
-            g.raw(f"_h{j}(cpu, _i{j})")
-            g.invalidate()
+            special = CALLOUT_TEMPLATES.get(insn.mnemonic)
+            if special is not None:
+                special(g, insn)
+            else:
+                ns[f"_h{j}"] = handler
+                ns[f"_i{j}"] = insn
+                g.raw(f"_h{j}(cpu, _i{j})")
+                g.invalidate()
         else:
             slot_live = live_sets[j]
             if "s" in slot_live:
@@ -693,7 +814,7 @@ def compile_superblock(block: Superblock, cpu):
     )
     if inline_term:
         if mnemonic is Mnemonic.RJMP:
-            g.raw(f"cpu.pc = {block.last_next_pc + terminator.k}")
+            g.raw(f"cpu.pc = {_pc_at(fall_through + terminator.k)}")
             g.raw(f"cpu.cycles += {total_cycles}")
         elif mnemonic is Mnemonic.JMP:
             g.raw(f"cpu.pc = {terminator.k}")
@@ -706,31 +827,36 @@ def compile_superblock(block: Superblock, cpu):
             if mnemonic is Mnemonic.BRBC:
                 cond = "not " + cond
             g.raw(f"if {cond}:")
-            g.raw(f"    cpu.pc = {block.last_next_pc + terminator.k}")
+            g.raw(f"    cpu.pc = {_pc_at(fall_through + terminator.k)}")
             g.raw(f"    cpu.cycles += {total_cycles + 1}")  # taken: +1 cycle
             g.raw("else:")
-            g.raw(f"    cpu.pc = {block.last_next_pc}")
+            g.raw(f"    cpu.pc = {_pc_at(fall_through)}")
             g.raw(f"    cpu.cycles += {total_cycles}")
         else:  # SLEEP (modeled as nop) or BSET of I (sei)
             if mnemonic is Mnemonic.BSET:
                 g.raw("s.i = True")
-            g.raw(f"cpu.pc = {block.last_next_pc}")
+            g.raw(f"cpu.pc = {_pc_at(fall_through)}")
             g.raw(f"cpu.cycles += {total_cycles}")
         g.raw(f"cpu.instructions_retired += {count}")
         has_term_call = False
     else:
-        ns["_ht"] = block.last_handler
-        ns["_it"] = terminator
-        g.raw(f"cpu.cycles += {block.body_cycles}")
-        g.raw(f"cpu.pc = {block.last_next_pc}")
+        if block.body_cycles:
+            g.raw(f"cpu.cycles += {block.body_cycles}")
+        g.raw(f"cpu.pc = {_pc_at(fall_through)}")
         g.raw("_fi = -1")
-        g.raw("_ht(cpu, _it)")
+        special = TERMINATOR_TEMPLATES.get(mnemonic)
+        if special is not None:
+            special(g, terminator, fall_through)
+        else:
+            ns["_ht"] = block.last_handler
+            ns["_it"] = terminator
+            g.raw("_ht(cpu, _it)")
         g.raw(f"cpu.cycles += {block.last_base_cycles}")
         g.raw(f"cpu.instructions_retired += {count}")
         has_term_call = True
 
     need_try = has_callout or has_term_call
-    out: List[str] = ["def _sb(cpu, buf=_buf, s=_sreg):"]
+    out: List[str] = ["def _sb(cpu, buf, s, pc):"]
     if need_try:
         out.append("    try:")
         out.extend("        " + line for line in g.lines)
@@ -739,81 +865,202 @@ def compile_superblock(block: Superblock, cpu):
     else:
         out.extend("    " + line for line in g.lines)
     source = "\n".join(out) + "\n"
-    code = compile(source, f"<superblock@0x{block.start * 2:05x}>", "exec")
-    exec(code, ns)
+    exec(compile(source, "<superblock>", "exec"), ns)
     return ns["_sb"], source
 
 
-class CompiledBlock:
-    """A superblock plus its (lazily) compiled callable."""
-
-    __slots__ = ("block", "fn", "source", "entries", "count", "last_pc_bytes")
-
-    def __init__(self, block: Superblock) -> None:
-        self.block = block
-        self.fn = None
-        self.source: Optional[str] = None
-        self.entries = 0  # entries before compilation (warmup counter)
-        # mirrored from the block so the hot loop touches one object
-        self.count = block.count
-        self.last_pc_bytes = block.last_pc_bytes
+# -- process-wide caches ----------------------------------------------------
 
 
-class CompiledEngine(BlockEngine):
-    """Superblock engine with exec-generated specialized block bodies."""
+class SharedCache:
+    """A bounded LRU mapping shared by every engine in the process."""
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        self._items: "OrderedDict[object, object]" = OrderedDict()
+
+    def get(self, key):
+        value = self._items.get(key)
+        if value is not None:
+            self._items.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        items = self._items
+        items[key] = value
+        if len(items) > self.limit:
+            items.popitem(last=False)
+
+    def clear(self) -> None:
+        """Forget everything (tests that count compiles start cold)."""
+        self._items.clear()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
+# Compiled bodies by block bytes (~2 KB each).  A testapp campaign shares a
+# few hundred bodies across every layout, plus a few dozen per layout for
+# blocks whose bytes carry a moved absolute target (``call``/``jmp``); the
+# LRU keeps the shared ones hot while layouts that never recur age out.
+BODY_CACHE = SharedCache(1024)
+# Decoded entries by (word, next_word): a whole ArduPlane image has ~4,200
+# distinct ones, so the bound holds any image's working set.
+DECODE_MEMO = SharedCache(8192)
+
+
+def _decoded(word: int, next_word: Optional[int], byte_addr: int) -> Decoded:
+    """The memoized decode entry for one instruction's bytes."""
+    key = (word, next_word)
+    entry = DECODE_MEMO.get(key)
+    if entry is None:
+        try:
+            insn = decode(word, next_word, byte_addr)
+        except DecodeError as exc:
+            raise IllegalExecutionError(
+                f"undecodable opcode 0x{word:04x} at 0x{byte_addr:05x}"
+            ) from exc
+        mnemonic = insn.mnemonic
+        entry = (
+            HANDLERS[mnemonic],
+            insn,
+            insn.size_words,
+            CYCLES_BY_MNEMONIC[mnemonic],
+            is_terminator(insn),
+        )
+        DECODE_MEMO.put(key, entry)
+    return entry
+
+
+# -- the engine ---------------------------------------------------------------
+
+
+class CompiledEngine:
+    """The fast engine: cold per-instruction tier plus compiled hot tier."""
 
     name = "compiled"
 
-    # Wall-clock codegen budget per flash generation: once spent, new
-    # blocks run through the shared blocks-engine path instead (identical
-    # results, no compile cost) until the next reflash resets it.
-    COMPILE_BUDGET_S = 0.25
-    # A block compiles on this entry count within a generation, so code
-    # that runs once per generation (boot paths, reflash thrash) never
-    # pays codegen at all.
-    WARM_THRESHOLD = 2
+    # A block head is fused and bound to a compiled body on this entry
+    # within a flash generation; until then it retires per instruction.
+    WARM_THRESHOLD = 8
 
     def __init__(self, cpu) -> None:
-        super().__init__(cpu)
-        self._compiled: Dict[int, CompiledBlock] = {}
-        self._compile_spent = 0.0
-        # telemetry accumulators, sampled pull-style at snapshot time
-        self.compiled_built = 0
-        self.compiled_entered = 0
+        self.cpu = cpu
+        self._generation: Optional[int] = None
+        # per-generation state, dropped together on every flash write
+        self._cache: List[Optional[Decoded]] = []  # decode entry per word
+        self._heads: Dict[int, int] = {}  # head -> entries this generation
+        self._blocks: Dict[int, Superblock] = {}  # fused heads
+        self._hot: Dict[int, tuple] = {}  # head -> (body, count, block)
+        # the image limit the fused blocks were cut at (they never cross it)
+        self._limit: Optional[int] = None
+        # telemetry accumulators, sampled pull-style at snapshot time.
+        # Decode misses count every trip through ``_entry_at`` (cold
+        # cache slot or out-of-cache PC); cache hits are derived at
+        # snapshot time as ``instructions_retired - decode_misses``.
+        self.rebuilds = 0  # decode-cache (re)allocations
+        self.decode_misses = 0
+        self.blocks_built = 0  # heads fused into superblocks
+        self.fusion_lengths: List[int] = []  # append-only build log
+        self.blocks_entered = 0  # block heads retired on the cold tier
+        self.compiled_built = 0  # bodies compiled (body-cache misses)
+        self.compiled_entered = 0  # hot-tier body executions
         self.compile_times_ms: List[float] = []  # append-only build log
+        # Block-granularity profiling sink (see repro.avr.profile): when
+        # set, a mutable mapping from Superblock to entry count that the
+        # run loop upserts inline once per retired block — a dict
+        # operation, not a Python call, so the fast path stays fast.
+        # While it is set, cold heads are fused (never compiled) so their
+        # retirements are attributed too.
+        self.profile_hook = None
 
-    # -- cache maintenance ----------------------------------------------
+    # -- per-generation state -----------------------------------------------
 
-    def _sync_cache(self):
-        # Evict (not just invalidate) on any flash write: compiled code
-        # objects are the largest per-block artifact, so reflash loops
-        # must not accumulate them.  Cleared in place so hot-loop locals
-        # stay bound to the dict.  The compile budget resets with the
-        # generation.
-        if self.cpu.flash.generation != self._generation:
-            self._compiled.clear()
-            self._compile_spent = 0.0
-        return super()._sync_cache()
+    def _sync_cache(self) -> List[Optional[Decoded]]:
+        """Drop every per-generation structure if flash changed."""
+        flash = self.cpu.flash
+        if flash.generation != self._generation:
+            self._cache = [None] * (flash.size // 2)
+            # cleared in place so hot-loop locals stay bound to them
+            self._heads.clear()
+            self._blocks.clear()
+            self._hot.clear()
+            self._generation = flash.generation
+            self.rebuilds += 1
+        return self._cache
 
-    # -- compilation -----------------------------------------------------
+    def _sync_limit(self) -> Optional[int]:
+        """Drop fused and hot blocks if the image limit moved under them."""
+        limit = self.cpu.code_limit
+        if limit != self._limit:
+            self._blocks.clear()
+            self._hot.clear()
+            self._limit = limit
+        return limit
 
-    def _compile_block(self, cb: CompiledBlock):
-        if self._compile_spent >= self.COMPILE_BUDGET_S:
-            return None
-        start = time.perf_counter()
-        fn, source = compile_superblock(cb.block, self.cpu)
-        elapsed = time.perf_counter() - start
-        self._compile_spent += elapsed
-        cb.fn = fn
-        cb.source = source
-        self.compiled_built += 1
-        self.compile_times_ms.append(elapsed * 1000.0)
-        return fn
+    def _entry_at(self, pc: int) -> Decoded:
+        """Decode one entry exactly as :meth:`AvrCpu.fetch` would."""
+        self.decode_misses += 1
+        flash = self.cpu.flash
+        try:
+            word = flash.read_word(pc)
+        except MemoryAccessError as exc:
+            raise IllegalExecutionError(str(exc)) from exc
+        next_word = flash.read_word(pc + 1) if needs_second_word(word) else None
+        return _decoded(word, next_word, pc * 2)
 
-    # -- execution --------------------------------------------------------
+    def _fetch(self, pc: int) -> Decoded:
+        """One decode entry, through the per-generation cache."""
+        cache = self._cache
+        if 0 <= pc < len(cache):
+            entry = cache[pc]
+            if entry is None:
+                entry = cache[pc] = self._entry_at(pc)
+            return entry
+        return self._entry_at(pc)
+
+    def fetch_entry(self) -> Entry:
+        """The entry at PC for :meth:`AvrCpu.step`."""
+        cpu = self.cpu
+        pc = cpu.pc
+        limit = cpu.code_limit
+        if limit is not None and pc * 2 >= limit:
+            raise _out_of_image_error(pc * 2, limit)
+        self._sync_cache()
+        return self._fetch(pc)[:4]
+
+    # -- fusion and the hot tier ----------------------------------------------
+
+    def _fuse(self, pc: int) -> Superblock:
+        """The fused block at head ``pc`` (built once per generation and
+        image limit; callers have run :meth:`_sync_limit`)."""
+        block = self._blocks.get(pc)
+        if block is None:
+            block = self._blocks[pc] = fuse(pc, self._fetch, self._limit)
+            self.blocks_built += 1
+            self.fusion_lengths.append(block.count)
+        return block
+
+    def _promote(self, pc: int) -> None:
+        """Fuse head ``pc`` and bind it to its body from the shared cache."""
+        block = self._fuse(pc)
+        key = self.cpu.flash.dump(pc * 2, (block.last_next_pc - pc) * 2)
+        body = BODY_CACHE.get(key)
+        if body is None:
+            start = time.perf_counter()
+            body, _source = compile_superblock(block)
+            self.compile_times_ms.append((time.perf_counter() - start) * 1000.0)
+            self.compiled_built += 1
+            BODY_CACHE.put(key, body)
+        self._hot[pc] = (body, block.count, block)
 
     def _raise_compiled_fault(self, block: Superblock, fault: CompiledBodyFault):
-        """Translate a callout fault into the exact per-instruction CpuFault."""
+        """Translate a callout fault into the exact per-instruction CpuFault.
+
+        The slot comes from the body's ``_fi`` index, never from object
+        identity: the decode memo shares ``Instruction`` objects, so two
+        identical slots in one block are the same object.
+        """
         cpu = self.cpu
         exc = fault.exc
         if fault.index < 0:  # the terminator handler faulted
@@ -825,8 +1072,50 @@ class CompiledEngine(BlockEngine):
         cpu.instructions_retired += fault.index
         raise CpuFault(str(exc), pc_bytes, cpu.cycles) from exc
 
+    # -- execution ------------------------------------------------------------
+
+    def _run_hooked(self, max_instructions: int) -> int:
+        """Exact per-instruction retirement with trace hooks firing.
+
+        The full retire preamble runs before every instruction, so hook
+        streams and ``run_lockstep`` parity hold by construction.
+        """
+        cpu = self.cpu
+        flash = cpu.flash
+        cache = self._sync_cache()
+        cache_len = len(cache)
+        hooks = cpu.trace_hooks
+        entry_at = self._entry_at
+        executed = 0
+        while not cpu.halted and executed < max_instructions:
+            pc = retire_preamble(cpu)
+            if flash.generation != self._generation:
+                cache = self._sync_cache()
+                cache_len = len(cache)
+            if 0 <= pc < cache_len:
+                entry = cache[pc]
+                if entry is None:
+                    entry = cache[pc] = entry_at(pc)
+            else:
+                entry = entry_at(pc)
+            handler, insn, size_words, base_cycles, _ = entry
+            cpu.pc = pc + size_words
+            try:
+                handler(cpu, insn)
+            except Halt:
+                cpu.halted = True
+            except MemoryAccessError as exc:
+                raise CpuFault(str(exc), pc * 2, cpu.cycles) from exc
+            cpu.cycles += base_cycles
+            cpu.instructions_retired += 1
+            executed += 1
+            pc_bytes = pc * 2
+            for hook in hooks:
+                hook(cpu, pc_bytes, insn)
+        return executed
+
     def run(self, max_instructions: int) -> int:
-        """Retire compiled superblocks; degrade exactly like the blocks engine.
+        """Retire up to ``max_instructions``, one block head at a time.
 
         The retire preamble is inlined (not called through
         :func:`retire_preamble`) because at compiled-block speed the call
@@ -835,61 +1124,129 @@ class CompiledEngine(BlockEngine):
         """
         cpu = self.cpu
         flash = cpu.flash
-        self._sync_cache()
-        compiled = self._compiled
-        get_compiled = compiled.get
-        per_instruction = PredecodedEngine.run
+        sreg = cpu.sreg
+        buf = cpu.data._bytes
+        cache = self._sync_cache()
+        cache_len = len(cache)
+        generation = self._generation
+        fused_limit = self._sync_limit()
+        heads = self._heads
+        hot_get = self._hot.get
+        entry_at = self._entry_at
+        threshold = self.WARM_THRESHOLD
         profile = self.profile_hook
-        executed = 0
+        remaining = max_instructions
         entered = 0
+        cold_runs = 0
         try:
-            while not cpu.halted and executed < max_instructions:
+            while remaining > 0 and not cpu.halted:
                 if cpu.trace_hooks:
                     # exact-latency fallback: a trace/lockstep hook is watching
-                    return executed + per_instruction(
-                        self, max_instructions - executed
-                    )
+                    return max_instructions - remaining + self._run_hooked(remaining)
                 # retire preamble, inlined
-                if cpu.pending_interrupts and cpu.sreg.i:
+                if cpu.pending_interrupts and sreg.i:
                     cpu._service_interrupt()
                 pc = cpu.pc
+                if flash.generation != generation:
+                    cache = self._sync_cache()
+                    cache_len = len(cache)
+                    generation = self._generation
+                hot = hot_get(pc)
                 limit = cpu.code_limit
-                if limit is not None and pc * 2 >= limit:
-                    raise _out_of_image_error(pc * 2, limit)
-                if flash.generation != self._generation:
-                    self._sync_cache()
-                cb = get_compiled(pc)
-                if cb is None or (limit is not None and cb.last_pc_bytes >= limit):
-                    cb = compiled[pc] = CompiledBlock(self._build_block(pc))
-                count = cb.count
-                if count > max_instructions - executed:
-                    # budget tail: retire exactly the remaining instructions
-                    executed += per_instruction(self, max_instructions - executed)
-                    continue
-                fn = cb.fn
-                if fn is None:
-                    cb.entries += 1
-                    if cb.entries >= self.WARM_THRESHOLD:
-                        fn = self._compile_block(cb)
-                    if fn is None:
-                        # cold or budget-capped: shared blocks-engine path
-                        self._execute_block(cb.block)
-                        executed += count
-                        self.blocks_entered += 1
+                if hot is not None and limit == fused_limit:
+                    # fused inside this very image limit, which implies the
+                    # preamble's limit check
+                    body, count, block = hot
+                    if count <= remaining:
+                        try:
+                            body(cpu, buf, sreg, pc)
+                        except Halt:
+                            cpu.halted = True
+                            cpu.cycles += block.last_base_cycles
+                            cpu.instructions_retired += count
+                        except CompiledBodyFault as fault:
+                            self._raise_compiled_fault(block, fault)
+                        remaining -= count
+                        entered += 1
+                        if profile is not None:
+                            # inline upsert: a method call per block is measurable
+                            profile[block] = profile.get(block, 0) + 1
                         continue
+                else:
+                    if limit is not None and pc * 2 >= limit:
+                        raise _out_of_image_error(pc * 2, limit)
+                    if limit != fused_limit:
+                        fused_limit = self._sync_limit()
+                    seen = heads.get(pc, 0) + 1
+                    heads[pc] = seen
+                    if seen >= threshold:
+                        # re-dispatch: the preamble is idempotent, and the
+                        # new body runs through the hot path above
+                        self._promote(pc)
+                        continue
+
+                # Cold tier (or a budget tail shorter than the hot block):
+                # retire per instruction up to the next terminator.  Inside
+                # the run nothing can make an interrupt serviceable or
+                # change flash (only terminators can), so PC, cycles and
+                # the retire count are written back only before the run's
+                # last instruction — or when something raises.
+                stop = remaining if remaining < FUSE_CAP else FUSE_CAP
+                block = None
+                if profile is not None:
+                    # attribute cold retirements to the head's fused extent
+                    block = self._fuse(pc)
+                    if block.count < stop:
+                        stop = block.count
+                retired = 0
+                cycles = 0
+                while True:
+                    entry = cache[pc] if 0 <= pc < cache_len else None
+                    if entry is None:
+                        try:
+                            entry = entry_at(pc)
+                        except Exception:
+                            cpu.pc = pc
+                            cpu.cycles += cycles
+                            cpu.instructions_retired += retired
+                            raise
+                        if 0 <= pc < cache_len:
+                            cache[pc] = entry
+                    handler, insn, size, base, ends = entry
+                    retired += 1
+                    if ends or retired == stop:
+                        break
+                    try:
+                        handler(cpu, insn)
+                    except MemoryAccessError as exc:
+                        cpu.pc = pc + size
+                        cpu.cycles += cycles
+                        cpu.instructions_retired += retired - 1
+                        raise CpuFault(str(exc), pc * 2, cpu.cycles) from exc
+                    cycles += base
+                    pc += size
+                    if limit is not None and pc * 2 >= limit:
+                        cpu.pc = pc
+                        cpu.cycles += cycles
+                        cpu.instructions_retired += retired
+                        raise _out_of_image_error(pc * 2, limit)
+                # the run's last instruction sees exact counters
+                cpu.pc = pc + size
+                cpu.cycles += cycles
                 try:
-                    fn(cpu)
+                    handler(cpu, insn)
                 except Halt:
                     cpu.halted = True
-                    cpu.cycles += cb.block.last_base_cycles
-                    cpu.instructions_retired += count
-                except CompiledBodyFault as fault:
-                    self._raise_compiled_fault(cb.block, fault)
-                executed += count
-                entered += 1
-                if profile is not None:
-                    block = cb.block
+                except MemoryAccessError as exc:
+                    cpu.instructions_retired += retired - 1
+                    raise CpuFault(str(exc), pc * 2, cpu.cycles) from exc
+                cpu.cycles += base
+                cpu.instructions_retired += retired
+                remaining -= retired
+                cold_runs += 1
+                if block is not None and retired == block.count:
                     profile[block] = profile.get(block, 0) + 1
         finally:
             self.compiled_entered += entered
-        return executed
+            self.blocks_entered += cold_runs
+        return max_instructions - remaining

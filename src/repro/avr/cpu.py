@@ -15,14 +15,13 @@ Models the ATmega2560 as the paper uses it:
 
 Instruction semantics live in the dispatch table of
 :mod:`repro.avr.engine` (one handler per mnemonic).  The core runs on one
-of four interchangeable engines: the ``predecoded`` engine (default;
-decode cache keyed on the flash generation counter, tight ``run()`` loop),
-the ``blocks`` superblock engine (fused straight-line runs, preamble paid
-per block — :mod:`repro.avr.blocks`), the ``compiled`` engine
-(exec-generated specialized block bodies — :mod:`repro.avr.compiled`),
-or the ``interpreter`` reference engine (decode at PC every step).  All
-retire instructions through an identical sequence — see
-docs/PERFORMANCE.md and the lockstep harness in :mod:`repro.avr.trace`.
+of two interchangeable engines: the tiered ``compiled`` engine (default;
+decode cache keyed on the flash generation counter, cold block heads
+retired per instruction, hot ones through exec-generated block bodies —
+:mod:`repro.avr.compiled`) or the ``interpreter`` reference engine
+(decode at PC every step).  Both retire instructions through an
+identical sequence — see docs/PERFORMANCE.md and the lockstep harness in
+:mod:`repro.avr.trace`.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from ..errors import CpuFault, DecodeError, IllegalExecutionError, MemoryAccessE
 from .decoder import decode, needs_second_word
 from .engine import DEFAULT_ENGINE, Halt, create_engine, retire_preamble
 from .insn import Instruction, Mnemonic
+from .iospace import SPH_DATA, SPL_DATA
 from .memory import RAMEND, DataSpace, Eeprom, FlashMemory
 from .sreg import StatusRegister
 
@@ -106,27 +106,74 @@ class AvrCpu:
         return self.cycles / self.clock_hz
 
     # -- stack helpers ---------------------------------------------------
+    #
+    # SP lives in SPL/SPH of the data space; these helpers touch those two
+    # bytes directly instead of through the ``DataSpace.sp`` property (a
+    # call and a return are three pushes/pops each, on every engine's
+    # hottest path).  The order is the architectural one, byte for byte:
+    # a push stores through ``DataSpace.write`` (hooks, faults) *then*
+    # moves SP; a pop moves SP, then reads.
 
     def push_byte(self, value: int) -> None:
-        sp = self.data.sp
-        self.data.write(sp, value)
-        self.data.sp = (sp - 1) & 0xFFFF
+        data = self.data
+        raw = data._bytes
+        sp = raw[SPL_DATA] | (raw[SPH_DATA] << 8)
+        data.write(sp, value)
+        sp = (sp - 1) & 0xFFFF
+        raw[SPL_DATA] = sp & 0xFF
+        raw[SPH_DATA] = sp >> 8
 
     def pop_byte(self) -> int:
-        sp = (self.data.sp + 1) & 0xFFFF
-        self.data.sp = sp
-        return self.data.read(sp)
+        data = self.data
+        raw = data._bytes
+        sp = ((raw[SPL_DATA] | (raw[SPH_DATA] << 8)) + 1) & 0xFFFF
+        raw[SPL_DATA] = sp & 0xFF
+        raw[SPH_DATA] = sp >> 8
+        return data.read(sp)
 
     def push_return_address(self, word_address: int) -> None:
-        """Push a 3-byte return address (low byte first, high ends lowest)."""
-        self.push_byte(word_address & 0xFF)
-        self.push_byte((word_address >> 8) & 0xFF)
-        self.push_byte((word_address >> 16) & 0xFF)
+        """Push a 3-byte return address (low byte first, high ends lowest).
+
+        Three :meth:`push_byte` steps, unrolled: a store's write hook runs
+        before SP moves, and the SP write after it is what the next step
+        reads back, so only the local copy is carried between steps.
+        """
+        data = self.data
+        raw = data._bytes
+        write = data.write
+        sp = raw[SPL_DATA] | (raw[SPH_DATA] << 8)
+        write(sp, word_address & 0xFF)
+        sp = (sp - 1) & 0xFFFF
+        raw[SPL_DATA] = sp & 0xFF
+        raw[SPH_DATA] = sp >> 8
+        write(sp, (word_address >> 8) & 0xFF)
+        sp = (sp - 1) & 0xFFFF
+        raw[SPL_DATA] = sp & 0xFF
+        raw[SPH_DATA] = sp >> 8
+        write(sp, (word_address >> 16) & 0xFF)
+        sp = (sp - 1) & 0xFFFF
+        raw[SPL_DATA] = sp & 0xFF
+        raw[SPH_DATA] = sp >> 8
 
     def pop_return_address(self) -> int:
-        high = self.pop_byte()
-        mid = self.pop_byte()
-        low = self.pop_byte()
+        """Pop a 3-byte return address: three :meth:`pop_byte` steps,
+        unrolled.  SP is re-read before each step because a read hook runs
+        after SP moved and could move it again."""
+        data = self.data
+        raw = data._bytes
+        read = data.read
+        sp = ((raw[SPL_DATA] | (raw[SPH_DATA] << 8)) + 1) & 0xFFFF
+        raw[SPL_DATA] = sp & 0xFF
+        raw[SPH_DATA] = sp >> 8
+        high = read(sp)
+        sp = ((raw[SPL_DATA] | (raw[SPH_DATA] << 8)) + 1) & 0xFFFF
+        raw[SPL_DATA] = sp & 0xFF
+        raw[SPH_DATA] = sp >> 8
+        mid = read(sp)
+        sp = ((raw[SPL_DATA] | (raw[SPH_DATA] << 8)) + 1) & 0xFFFF
+        raw[SPL_DATA] = sp & 0xFF
+        raw[SPH_DATA] = sp >> 8
+        low = read(sp)
         return (high << 16) | (mid << 8) | low
 
     # -- execution -------------------------------------------------------

@@ -1,37 +1,29 @@
 """Execution engines: how the core turns flash words into state changes.
 
-Four engines share one set of instruction semantics (the dispatch table
+Two engines share one set of instruction semantics (the dispatch table
 ``HANDLERS``, one handler per :class:`~repro.avr.insn.Mnemonic`):
 
 * :class:`InterpreterEngine` — the reference engine: decode the word at PC
   on **every** step, dispatch, account cycles.  Slow but has no cached
   state at all, which makes it the ground truth for differential testing.
-* :class:`PredecodedEngine` — the fast engine: each flash word is decoded
-  **once per flash generation** into a ``(handler, insn, size, cycles)``
-  entry; revisits index straight into the entry table, and ``run()`` is a
-  tight loop over cached entries.
-* :class:`~repro.avr.blocks.BlockEngine` — the superblock engine: fuses
-  consecutive predecoded entries into straight-line blocks and hoists the
-  per-instruction retire preamble to block boundaries (see
-  :mod:`repro.avr.blocks` for the fusion rules and latency model).
-* :class:`~repro.avr.compiled.CompiledEngine` — the compiled superblock
-  engine: ``exec``-generates one specialized Python callable per
-  superblock (operands folded, registers/flags in locals, dead flag
-  computations elided — see :mod:`repro.avr.compiled`), with the same
-  invalidation and degrade rules as the blocks engine.
+* :class:`~repro.avr.compiled.CompiledEngine` — the fast engine (the
+  default): each flash word is decoded once per flash generation, block
+  heads retire per instruction while cold and through ``exec``-generated
+  superblock bodies once hot (see :mod:`repro.avr.compiled` for the tiers
+  and :mod:`repro.avr.blocks` for the fusion rules).
 
-All engines retire instructions through exactly the same sequence as
+Both retire instructions through exactly the same sequence as
 :meth:`AvrCpu.step`: pending-interrupt service, code-limit check, execute,
 cycle accounting, trace hooks.  The shared prefix of that sequence lives
 in :func:`retire_preamble` so the contract exists in one place; the
 differential harness in :mod:`repro.avr.trace` exists to keep the claim
 honest.
 
-Correctness invariant (see docs/PERFORMANCE.md): a cache entry is only
+Correctness invariant (see docs/PERFORMANCE.md): a cached decode is only
 valid for the flash generation it was decoded from.
 :class:`~repro.avr.memory.FlashMemory` bumps its ``generation`` counter on
 every write path (ISP programming, MAVR reflash, SPM-style self-writes),
-and the predecoded engine compares generations *before every fetch*, so a
+and the fast engine compares generations before every block head, so a
 re-randomized image can never execute stale decodes.
 
 Cache entries are indexed by word address and each is decoded
@@ -43,11 +35,10 @@ property the ROP gadget finder exploits.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
-from ..errors import CpuFault, DecodeError, IllegalExecutionError, MemoryAccessError
+from ..errors import IllegalExecutionError
 from . import alu
-from .decoder import decode, needs_second_word
 from .insn import Instruction, Mnemonic
 from .iospace import SREG_IO
 
@@ -78,8 +69,8 @@ def retire_preamble(cpu: "AvrCpu") -> int:
 
     Returns the (possibly interrupt-redirected) PC to fetch from.  This is
     the single definition of the preamble shared by :meth:`AvrCpu.step`
-    and every engine ``run()`` loop — the per-instruction engines pay it
-    once per instruction, the block engine once per superblock.
+    and every engine ``run()`` loop — the interpreter pays it once per
+    instruction, the fast engine once per block head.
     """
     if cpu.pending_interrupts and cpu.sreg.i:
         cpu._service_interrupt()
@@ -589,129 +580,9 @@ class InterpreterEngine:
         return executed
 
 
-class PredecodedEngine:
-    """Fast engine: per-flash-generation decode cache + tight run loop."""
-
-    name = "predecoded"
-
-    def __init__(self, cpu: "AvrCpu") -> None:
-        self.cpu = cpu
-        self._generation: Optional[int] = None
-        self._cache: List[Optional[Entry]] = []
-        self.rebuilds = 0  # number of cache (re)allocations, for tests/benchmarks
-        # Decode misses: every trip through ``_entry_at`` (cold cache slot
-        # or out-of-cache PC).  Cache hits are derived at snapshot time as
-        # ``instructions_retired - decode_misses`` — the hit path itself
-        # stays untouched, which keeps telemetry off the hot loop.
-        self.decode_misses = 0
-        # Block-granularity profiling sink (see repro.avr.profile): when
-        # set, it is a mutable mapping from Superblock to entry count;
-        # the superblock engines upsert it inline once per retired block
-        # (a dict operation, not a Python call, so the fast path stays
-        # fast).  It lives on the base class so AvrProfiler can probe
-        # for it uniformly; the per-instruction engines never touch it
-        # (exact mode uses cpu.trace_hooks instead).
-        self.profile_hook = None
-
-    # -- cache maintenance ----------------------------------------------
-
-    def _sync_cache(self) -> List[Optional[Entry]]:
-        """Drop every cached decode if flash changed since it was filled."""
-        flash = self.cpu.flash
-        if flash.generation != self._generation:
-            self._cache = [None] * (flash.size // 2)
-            self._generation = flash.generation
-            self.rebuilds += 1
-        return self._cache
-
-    def _entry_at(self, pc: int) -> Entry:
-        """Decode one entry exactly as :meth:`AvrCpu.fetch` would."""
-        self.decode_misses += 1
-        cpu = self.cpu
-        byte_addr = pc * 2
-        try:
-            word = cpu.flash.read_word(pc)
-        except MemoryAccessError as exc:
-            raise IllegalExecutionError(str(exc)) from exc
-        next_word = None
-        if needs_second_word(word):
-            next_word = cpu.flash.read_word(pc + 1)
-        try:
-            insn = decode(word, next_word, byte_addr)
-        except DecodeError as exc:
-            raise IllegalExecutionError(
-                f"undecodable opcode 0x{word:04x} at 0x{byte_addr:05x}"
-            ) from exc
-        mnemonic = insn.mnemonic
-        return (
-            HANDLERS[mnemonic],
-            insn,
-            insn.size_words,
-            CYCLES_BY_MNEMONIC[mnemonic],
-        )
-
-    # -- execution ------------------------------------------------------
-
-    def fetch_entry(self) -> Entry:
-        cpu = self.cpu
-        pc = cpu.pc
-        byte_addr = pc * 2
-        limit = cpu.code_limit
-        if limit is not None and byte_addr >= limit:
-            raise _out_of_image_error(byte_addr, limit)
-        cache = self._sync_cache()
-        if 0 <= pc < len(cache):
-            entry = cache[pc]
-            if entry is None:
-                entry = cache[pc] = self._entry_at(pc)
-            return entry
-        return self._entry_at(pc)
-
-    def run(self, max_instructions: int) -> int:
-        """The hot loop: identical retire sequence, minimal per-step work."""
-        cpu = self.cpu
-        flash = cpu.flash
-        cache = self._sync_cache()
-        cache_len = len(cache)
-        hooks = cpu.trace_hooks
-        preamble = retire_preamble
-        entry_at = self._entry_at
-        executed = 0
-        while not cpu.halted and executed < max_instructions:
-            pc = preamble(cpu)
-            if flash.generation != self._generation:
-                cache = self._sync_cache()
-                cache_len = len(cache)
-            if 0 <= pc < cache_len:
-                entry = cache[pc]
-                if entry is None:
-                    entry = cache[pc] = entry_at(pc)
-            else:
-                entry = entry_at(pc)
-            handler, insn, size_words, base_cycles = entry
-            cpu.pc = pc + size_words
-            try:
-                handler(cpu, insn)
-            except Halt:
-                cpu.halted = True
-            except MemoryAccessError as exc:
-                raise CpuFault(str(exc), pc * 2, cpu.cycles) from exc
-            cpu.cycles += base_cycles
-            cpu.instructions_retired += 1
-            executed += 1
-            if hooks:
-                pc_bytes = pc * 2
-                for hook in hooks:
-                    hook(cpu, pc_bytes, insn)
-        return executed
-
-
 ENGINES = {
     InterpreterEngine.name: InterpreterEngine,
-    PredecodedEngine.name: PredecodedEngine,
 }
-
-DEFAULT_ENGINE = PredecodedEngine.name
 
 
 def create_engine(name: str, cpu: "AvrCpu"):
@@ -725,13 +596,10 @@ def create_engine(name: str, cpu: "AvrCpu"):
     return factory(cpu)
 
 
-# The superblock engines subclass PredecodedEngine (and each other), so
-# they live in their own modules and register here after the base classes
-# and dispatch tables exist.
-from .blocks import BlockEngine  # noqa: E402  (import cycle: blocks needs the tables above)
-
-ENGINES[BlockEngine.name] = BlockEngine
-
-from .compiled import CompiledEngine  # noqa: E402  (needs BlockEngine + HANDLERS)
+# The fast engine builds on the dispatch tables above, so it lives in its
+# own module and registers here once they exist.
+from .compiled import CompiledEngine  # noqa: E402  (import cycle: needs HANDLERS)
 
 ENGINES[CompiledEngine.name] = CompiledEngine
+
+DEFAULT_ENGINE = CompiledEngine.name

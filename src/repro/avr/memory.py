@@ -46,7 +46,7 @@ class FlashMemory:
     """Program memory: byte-addressed storage executed as 16-bit words.
 
     Every mutation path (bulk :meth:`load`, :meth:`erase`, bootloader
-    :meth:`write_page`) bumps :attr:`generation`.  The predecoded execution
+    :meth:`write_page`) bumps :attr:`generation`.  The compiled execution
     engine keys its decode cache on this counter, so any reprogramming —
     ISP streaming, a MAVR re-randomization reflash, a self-write — makes
     previously cached decodes unreachable.  Nothing else may mutate
@@ -201,9 +201,8 @@ class DataSpace:
             raise MemoryAccessError(f"data read out of range: 0x{address:05x}")
         if address == SREG_DATA:
             return self.sreg.byte
-        hook = self._read_hooks.get(address)
-        if hook is not None:
-            return hook(address) & 0xFF
+        if address in self._read_hooks:
+            return self._read_hooks[address](address) & 0xFF
         return self._bytes[address]
 
     def write(self, address: int, value: int) -> None:
@@ -213,9 +212,8 @@ class DataSpace:
         if address == SREG_DATA:
             self.sreg.byte = value
             return
-        hook = self._write_hooks.get(address)
-        if hook is not None:
-            override = hook(address, value)
+        if address in self._write_hooks:
+            override = self._write_hooks[address](address, value)
             if override is not None:
                 value = override & 0xFF
         self._bytes[address] = value

@@ -5,18 +5,19 @@ half lives in :mod:`repro.telemetry.profiler`).  Three modes trade
 precision against engine speed:
 
 * ``exact`` — a :attr:`AvrCpu.trace_hooks` callback charges every retired
-  instruction's true cycle delta to its PC.  Works on all four engines
-  and sums *exactly* to the CPU cycle counter, but trace hooks force the
-  blocks/compiled engines down their per-instruction degrade path.
+  instruction's true cycle delta to its PC.  Works on both engines and
+  sums *exactly* to the CPU cycle counter, but trace hooks force the
+  compiled engine down its per-instruction degrade path.
 * ``block`` — a block-entry count mapping on ``engine.profile_hook``:
-  the fast engines stay fast (one ``is not None`` check plus one dict
-  upsert per superblock, no Python-level call) and the
-  per-PC weights are reconstructed at snapshot time from each block's
-  cached cycle layout.  Taken-branch extras, interrupt service overhead
-  and block-budget tail instructions are invisible at this granularity,
-  so totals agree with ``exact`` only to within a few percent.  On the
-  per-instruction engines (no superblocks) this mode silently degrades
-  to ``exact``; check :attr:`effective_mode`.
+  the fast engine stays fast (one ``is not None`` check plus one dict
+  upsert per superblock, no Python-level call) and the per-PC weights
+  are reconstructed at snapshot time from each block's cached cycle
+  layout.  Cold block heads are fused (never compiled) while the hook is
+  set, so cold-tier retirements are attributed too.  Taken-branch
+  extras, interrupt service overhead and block-budget tail instructions
+  are invisible at this granularity, so totals agree with ``exact`` only
+  to within a few percent.  On the interpreter (no superblocks) this
+  mode silently degrades to ``exact``; check :attr:`effective_mode`.
 * ``heatmap`` — ``exact`` plus a shadow call stack.  CALL/RCALL/ICALL
   push the expected return address; RET must pop exactly that address,
   and direct/indirect jumps must stay inside the current function or
@@ -49,7 +50,7 @@ _CALLS = frozenset((Mnemonic.CALL, Mnemonic.RCALL, Mnemonic.ICALL))
 _JUMPS = frozenset((Mnemonic.JMP, Mnemonic.RJMP, Mnemonic.IJMP))
 
 # Engines whose run loops consume ``profile_hook`` (superblock engines).
-_BLOCK_ENGINES = frozenset(("blocks", "compiled"))
+_BLOCK_ENGINES = frozenset(("compiled",))
 
 DEFAULT_SHADOW_DEPTH = 512
 DEFAULT_MAX_ANOMALIES = 32

@@ -6,7 +6,7 @@ stack at each stage of the stealthy attack.
 
 The lockstep half (:class:`CpuStateStream`, :func:`diff_state_streams`,
 :func:`run_lockstep`) is the differential contract for the execution
-engines: the predecoded engine is only allowed to exist because these
+engines: the compiled engine is only allowed to exist because these
 helpers can show, instruction by instruction, that its PC/SP/SREG/cycle
 stream is identical to the reference interpreter's.
 """
@@ -18,8 +18,47 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..errors import AvrError, LockstepDivergenceError
-from .cpu import AvrCpu
+from .cpu import _POINTER_MODES, AvrCpu
 from .insn import Instruction, Mnemonic
+from .iospace import IO_TO_DATA_OFFSET, SREG_DATA
+from .memory import REGISTER_FILE_SIZE
+
+# Pointer stores (st/std) -> (pointer register, pre-decrement,
+# post-increment, displacement), from the core's own addressing table.
+_STORE_MODES = {
+    mnemonic: mode
+    for mnemonic, mode in _POINTER_MODES.items()
+    if mnemonic.value.startswith("st")
+}
+_IO_STORES = frozenset((Mnemonic.OUT, Mnemonic.SBI, Mnemonic.CBI))
+
+
+def _store_address(cpu: AvrCpu, insn: Instruction) -> Optional[int]:
+    """Data address ``insn`` just stored to, from the state after retire.
+
+    ``None`` for instructions that store nothing.  Pointer stores recover
+    the effective address from the pointer as the store left it: the
+    pointer minus one after a post-increment, the pointer itself after a
+    pre-decrement, the pointer plus ``q`` for a displacement; ``push``
+    stored at SP + 1; ``out``/``sbi``/``cbi`` at their I/O address + 0x20.
+    """
+    mnemonic = insn.mnemonic
+    if mnemonic is Mnemonic.STS:
+        return insn.k
+    if mnemonic in _IO_STORES:
+        return insn.a + IO_TO_DATA_OFFSET
+    if mnemonic is Mnemonic.PUSH:
+        return (cpu.data.sp + 1) & 0xFFFF
+    mode = _STORE_MODES.get(mnemonic)
+    if mode is None:
+        return None
+    pointer_reg, _pre_dec, post_inc, disp = mode
+    pointer = cpu.data.read_reg_pair(pointer_reg)
+    if post_inc:
+        return (pointer - 1) & 0xFFFF
+    if disp:
+        return (pointer + (insn.q or 0)) & 0xFFFF
+    return pointer
 
 
 @dataclass(frozen=True)
@@ -63,9 +102,14 @@ def snapshot_stack(
 class ExecutionTrace:
     """Records retired instructions and externally visible stores.
 
-    The *observable trace* (`io_writes`) — stores outside the register file
-    and stack region — is the behavioural-equivalence criterion used to show
-    randomized firmware behaves identically to the original.
+    The *observable trace* (`io_writes`) holds one ``(address, value)``
+    pair per retired store outside the register file — ``sts``, every
+    ``st``/``std`` addressing mode, ``push``, ``out``, ``sbi`` and
+    ``cbi`` — where ``value`` is the byte the store left at ``address``
+    (read without triggering peripheral read hooks).  It is the
+    behavioural-equivalence criterion used to show randomized firmware
+    behaves identically to the original, and the cross-engine store
+    comparison of the lockstep tests.
 
     Memory bounds: by default recording *stops* after ``max_instructions``
     entries (keep-first semantics, what equivalence checks want).  Set
@@ -95,10 +139,13 @@ class ExecutionTrace:
             or len(self.instructions) < self.max_instructions
         ):
             self.instructions.append((pc_bytes, insn))
-        if insn.mnemonic is Mnemonic.STS:
-            self.io_writes.append((insn.k, cpu.data.read(insn.k)))
-        elif insn.mnemonic is Mnemonic.OUT:
-            self.io_writes.append((insn.a + 0x20, cpu.data.read_reg(insn.rr)))
+        address = _store_address(cpu, insn)
+        if address is not None and address >= REGISTER_FILE_SIZE:
+            if address == SREG_DATA:
+                value = cpu.sreg.byte
+            else:
+                value = cpu.data.read_block(address, 1)[0]
+            self.io_writes.append((address, value))
 
     def mnemonic_counts(self) -> dict:
         counts: dict = {}

@@ -32,8 +32,11 @@ Design constraints, in order:
   reader never observes a torn artifact and the last writer wins with
   byte-identical content.
 * **Bounded memory.**  The per-process memo over disk hits is an LRU
-  (:data:`MEMO_LIMIT` entries); the disk store is bounded only by the
-  root the caller owns (campaign runs typically point it at a temp dir).
+  (:data:`MEMO_LIMIT` entries) filled on *read* only: publishing an
+  object does not memoize it, because most published objects (one board
+  snapshot per scenario seed) are never read back by the process that
+  wrote them.  The disk store is bounded only by the root the caller
+  owns (campaign runs typically point it at a temp dir).
 """
 
 from __future__ import annotations
@@ -175,11 +178,8 @@ class ArtifactCache:
         return value
 
     def put_object(self, key: str, value: object) -> None:
+        """Pickle and publish ``value``; the memo is filled on read only."""
         self.put_bytes(key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-        self._memo[key] = value
-        self._memo.move_to_end(key)
-        while len(self._memo) > MEMO_LIMIT:
-            self._memo.popitem(last=False)
 
 
 _CACHES: Dict[str, ArtifactCache] = {}

@@ -10,7 +10,7 @@ per scenario as it lands, then the ``campaign.aggregates`` and
 A request mirrors the ``repro campaign`` flags (all fields optional)::
 
     {"app": "testapp", "attack": "guess", "count": 10, "seed": 0,
-     "defense": "mavr", "toolchain": "mavr", "engine": "predecoded",
+     "defense": "mavr", "toolchain": "mavr", "engine": "compiled",
      "jobs": 2, "timeout": null}
 
 The server holds a single :class:`~repro.sim.artifacts.ArtifactCache`

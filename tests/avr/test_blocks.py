@@ -1,18 +1,20 @@
-"""Unit coverage for the superblock engine (:mod:`repro.avr.blocks`).
+"""Unit coverage for the block builder (:mod:`repro.avr.blocks`) and the
+compiled engine's cold tier.
 
-The contract under test: fused execution is *observably identical* to
-per-instruction retirement — interrupts serviced at the exact same points
-with correct vector priority, identical crashes with identical fault
-state, no stale block ever executed after a flash write — while the
-fusion machinery itself (terminators, cap, misaligned entries, budget
-tails, hook degradation) behaves as documented.
+The contract under test: the fusion rules (terminators, cap, misaligned
+entries) cut blocks where documented, and cold-tier retirement — block
+heads below the warm threshold, retired per instruction up to the next
+terminator — is *observably identical* to the interpreter: interrupts
+serviced at the exact same points with correct vector priority,
+identical crashes with identical fault state, no stale decode executed
+after a flash write, exact budget tails and hook degradation.  The hot
+tier's compiled bodies are covered in ``test_compiled.py``.
 """
 
 import pytest
 
 from repro.avr import (
     AvrCpu,
-    BlockEngine,
     CpuStateStream,
     Instruction,
     Mnemonic,
@@ -21,19 +23,23 @@ from repro.avr import (
     encode_stream,
 )
 from repro.avr.blocks import FUSE_CAP, TERMINATORS, WRITE_CAPABLE
-from repro.avr.engine import ENGINES
 from repro.errors import CpuFault, IllegalExecutionError
 
 I = Instruction
 M = Mnemonic
 
 HOOK_ADDR = 0x0300  # an ordinary SRAM byte, hooked like a peripheral register
+NEVER = 1 << 62  # a warm threshold no head ever reaches: all cold
 
 
-def _cpu(program, engine="blocks", setup=None):
+def _cpu(program, engine="compiled", setup=None, warm=NEVER):
+    """A core on ``program``; the compiled engine runs all-cold unless
+    ``warm`` lowers its threshold (``warm=1`` fuses every head at once)."""
     cpu = AvrCpu(engine=engine)
     cpu.load_program(encode_stream(program))
     cpu.reset()
+    if engine == "compiled":
+        cpu.engine.WARM_THRESHOLD = warm
     if setup:
         setup(cpu)
     return cpu
@@ -56,14 +62,7 @@ def _hot_loop(body_len=6):
     return body + [I(M.RJMP, k=-(body_len + 1))]
 
 
-# -- registry / construction ---------------------------------------------
-
-
-def test_blocks_engine_registered_and_selectable():
-    assert ENGINES["blocks"] is BlockEngine
-    cpu = AvrCpu(engine="blocks")
-    assert cpu.engine_name == "blocks"
-    assert isinstance(cpu.engine, BlockEngine)
+# -- terminator set -------------------------------------------------------
 
 
 def test_terminator_set_covers_every_write_capable_mnemonic():
@@ -78,20 +77,30 @@ def test_terminator_set_covers_every_write_capable_mnemonic():
 
 
 def test_straight_line_loop_fuses_once_and_is_reused():
-    cpu = _cpu(_hot_loop(6))  # 6 INCs + RJMP = one 7-instruction block
+    cpu = _cpu(_hot_loop(6), warm=1)  # 6 INCs + RJMP = one 7-insn block
     engine = cpu.engine
     executed = cpu.run(70)
     assert executed == 70
     assert engine.fusion_lengths == [7]
     assert engine.blocks_built == 1
-    assert engine.blocks_entered == 10
+    assert engine.compiled_entered == 10
 
 
 def test_fuse_cap_bounds_block_length():
     body = [I(M.INC, rd=16) for _ in range(FUSE_CAP + 8)]
-    cpu = _cpu(body + [I(M.RJMP, k=-(len(body) + 1))])
+    cpu = _cpu(body + [I(M.RJMP, k=-(len(body) + 1))], warm=1)
     cpu.run(len(body) + 1)
     assert cpu.engine.fusion_lengths[0] == FUSE_CAP
+
+
+def test_cold_runs_stop_where_blocks_would():
+    """A cold run retires up to the next terminator or the fuse cap, so
+    cold and hot tiers see the same block heads."""
+    body = [I(M.INC, rd=16) for _ in range(FUSE_CAP + 8)]
+    cpu = _cpu(body + [I(M.RJMP, k=-(len(body) + 1))])
+    cpu.run(2 * (len(body) + 1))
+    assert cpu.engine._heads == {0: 2, FUSE_CAP: 2}
+    assert cpu.engine.blocks_built == 0
 
 
 def test_stores_and_sei_terminate_blocks():
@@ -103,7 +112,7 @@ def test_stores_and_sei_terminate_blocks():
         I(M.INC, rd=18),
         I(M.BREAK),
     ]
-    cpu = _cpu(program)
+    cpu = _cpu(program, warm=1)
     cpu.run(100)
     assert cpu.halted
     # [inc, sts] [inc, sei] [inc, break]
@@ -114,7 +123,7 @@ def test_bclr_of_i_flag_does_not_terminate():
     # cli *clears* I — it can only delay servicing, never enable it
     # mid-block, so it fuses like any other flag instruction
     program = [I(M.BCLR, b=7), I(M.INC, rd=16), I(M.BREAK)]
-    cpu = _cpu(program)
+    cpu = _cpu(program, warm=1)
     cpu.run(10)
     assert cpu.engine.fusion_lengths == [3]
 
@@ -157,7 +166,7 @@ def _arm_interrupt_hook(cpu):
 
 def test_interrupt_latched_mid_block_serviced_at_boundary_with_priority():
     states = {}
-    for engine in ("interpreter", "blocks"):
+    for engine in ("interpreter", "compiled"):
         cpu = _cpu(_interrupt_program(), engine=engine,
                    setup=_arm_interrupt_hook)
         cpu.run(100)
@@ -168,9 +177,9 @@ def test_interrupt_latched_mid_block_serviced_at_boundary_with_priority():
         assert cpu.data.read_reg(20) == 1
         assert cpu.data.read_reg(21) == 1
         states[engine] = _state(cpu)
-    # exact-latency: fused execution serviced at the very same points,
-    # so cycles/PC/SP/registers agree bit for bit
-    assert states["blocks"] == states["interpreter"]
+    # exact-latency: cold runs serviced at the very same points, so
+    # cycles/PC/SP/registers agree bit for bit
+    assert states["compiled"] == states["interpreter"]
 
 
 def test_interrupt_latency_stays_bounded_inside_long_straight_line_runs():
@@ -199,8 +208,9 @@ def test_interrupt_latency_stays_bounded_inside_long_straight_line_runs():
 
 
 def test_spm_write_mid_run_invalidates_cached_blocks():
-    """A store hook rewrites an already-fused instruction word; the stale
-    block must never execute again (the paper's reflash safety rule)."""
+    """A store hook rewrites an already-decoded instruction word; the
+    stale decode must never execute again (the paper's reflash safety
+    rule)."""
     new_word = encode(I(M.LDI, rd=16, k=99))[0]
     program = [
         I(M.LDI, rd=26, k=HOOK_ADDR & 0xFF),   # word 0
@@ -210,7 +220,7 @@ def test_spm_write_mid_run_invalidates_cached_blocks():
         I(M.BREAK),                            # word 4
     ]
     states = {}
-    for engine in ("interpreter", "blocks"):
+    for engine in ("interpreter", "compiled"):
         cpu = _cpu(program, engine=engine)
         armed = [False]
 
@@ -220,21 +230,21 @@ def test_spm_write_mid_run_invalidates_cached_blocks():
             return None
 
         cpu.data.add_write_hook(HOOK_ADDR, hook)
-        # first pass, hook disarmed: caches the block holding `inc r16`
+        # first pass, hook disarmed: caches the decode of `inc r16`
         cpu.run(100)
         assert cpu.halted and cpu.data.read_reg(16) == 1
-        if engine == "blocks":
-            assert 3 in cpu.engine._blocks
-        # second pass: the store rewrites word 3 under the cached block
+        if engine == "compiled":
+            assert cpu.engine._cache[3][1].mnemonic is M.INC
+        # second pass: the store rewrites word 3 under the cached decode
         armed[0] = True
         cpu.reset()
         cpu.run(100)
         assert cpu.halted
-        # stale block would have executed `inc` (r16 == 2); the fence
-        # forces a re-fuse and the new `ldi r16, 99` runs instead
+        # a stale decode would have executed `inc` (r16 == 2); the fence
+        # forces a re-decode and the new `ldi r16, 99` runs instead
         assert cpu.data.read_reg(16) == 99
         states[engine] = _state(cpu)
-    assert states["blocks"] == states["interpreter"]
+    assert states["compiled"] == states["interpreter"]
 
 
 # -- misaligned entry (the ROP gadget property) ---------------------------
@@ -244,23 +254,19 @@ def test_misaligned_entry_starts_its_own_block():
     # `call 0` encodes as 0x940e 0x0000 and word 0x0000 is a `nop`:
     # entering at word 1 must fuse a fresh [nop, break] block, exactly
     # how the gadget finder's misaligned gadgets execute
-    raw = encode_stream([I(M.CALL, k=0), I(M.BREAK)])
+    program = [I(M.CALL, k=0), I(M.BREAK)]
     states = {}
-    for engine in ("interpreter", "blocks"):
-        cpu = AvrCpu(engine=engine)
-        cpu.load_program(raw)
-        cpu.reset()
+    for engine in ("interpreter", "compiled"):
+        cpu = _cpu(program, engine=engine)
         cpu.run(3)  # aligned: three recursive `call 0`s
         assert cpu.instructions_retired == 3
         cpu.pc = 1  # jump into the second word of the call
         cpu.run(10)
         assert cpu.halted
         states[engine] = _state(cpu)
-    assert states["blocks"] == states["interpreter"]
+    assert states["compiled"] == states["interpreter"]
 
-    cpu = AvrCpu(engine="blocks")
-    cpu.load_program(raw)
-    cpu.reset()
+    cpu = _cpu(program, warm=1)
     cpu.run(3)
     blocks = cpu.engine._blocks
     assert blocks[0].count == 1          # [call] — control flow terminates
@@ -276,7 +282,7 @@ def test_misaligned_entry_starts_its_own_block():
 def test_run_budget_is_exact_even_mid_block():
     for budget in (1, 2, 6, 7, 13, 37):
         reference = _cpu(_hot_loop(6), engine="interpreter")
-        subject = _cpu(_hot_loop(6), engine="blocks")
+        subject = _cpu(_hot_loop(6))
         assert reference.run(budget) == budget
         assert subject.run(budget) == budget
         assert _state(subject) == _state(reference), budget
@@ -288,8 +294,7 @@ def test_run_budget_is_exact_even_mid_block():
 def test_trace_hooks_force_per_instruction_fallback():
     reference = _cpu(_interrupt_program(), engine="interpreter",
                      setup=_arm_interrupt_hook)
-    subject = _cpu(_interrupt_program(), engine="blocks",
-                   setup=_arm_interrupt_hook)
+    subject = _cpu(_interrupt_program(), setup=_arm_interrupt_hook)
     ref_stream = CpuStateStream().attach(reference)
     sub_stream = CpuStateStream().attach(subject)
     reference.run(100)
@@ -297,33 +302,39 @@ def test_trace_hooks_force_per_instruction_fallback():
     assert subject.halted
     divergence = diff_state_streams(ref_stream, sub_stream)
     assert divergence is None, divergence
-    # the fused fast path never ran while a hook was attached
+    # the cold tier never ran while a hook was attached
     assert subject.engine.blocks_entered == 0
 
 
 def test_fusion_resumes_after_hooks_detach():
-    cpu = _cpu(_hot_loop(6))
+    cpu = _cpu(_hot_loop(6), warm=1)
     stream = CpuStateStream().attach(cpu)
     cpu.run(14)
-    assert cpu.engine.blocks_entered == 0
+    assert cpu.engine.blocks_built == 0
     cpu.trace_hooks.remove(stream._on_retire)
     cpu.run(14)
-    assert cpu.engine.blocks_entered > 0
+    assert cpu.engine.blocks_built > 0
 
 
 # -- crash parity ---------------------------------------------------------
 
 
 def test_out_of_image_and_undecodable_crash_parity():
-    for raw in (b"\xff\xff", encode_stream([I(M.NOP)])):
+    # head decode error, out-of-image mid-run, undecodable word mid-run
+    nops = encode_stream([I(M.NOP), I(M.NOP)])
+    for raw in (b"\xff\xff", encode_stream([I(M.NOP)]), nops + b"\xff\xff"):
         errors = []
-        for engine in ("interpreter", "predecoded", "blocks"):
+        for engine, warm in (("interpreter", None), ("compiled", NEVER),
+                             ("compiled", 1)):
             cpu = AvrCpu(engine=engine)
             cpu.load_program(raw)
             cpu.reset()
+            if warm is not None:
+                cpu.engine.WARM_THRESHOLD = warm
             with pytest.raises(IllegalExecutionError) as excinfo:
                 cpu.run(10)
-            errors.append(str(excinfo.value))
+            errors.append((str(excinfo.value), cpu.pc, cpu.cycles,
+                           cpu.instructions_retired))
         assert errors[0] == errors[1] == errors[2]
 
 
@@ -337,25 +348,25 @@ def test_mid_block_body_fault_reconstructs_exact_state():
         I(M.BREAK),
     ]
     faults = {}
-    for engine in ("interpreter", "blocks"):
+    for engine in ("interpreter", "compiled"):
         cpu = _cpu(program, engine=engine)
         with pytest.raises(CpuFault) as excinfo:
             cpu.run(10)
         fault = excinfo.value
         faults[engine] = (str(fault), fault.pc, fault.cycles,
                           cpu.pc, cpu.cycles, cpu.instructions_retired)
-    assert faults["blocks"] == faults["interpreter"]
-    assert faults["blocks"][1] == 2  # byte address of the faulting lds
+    assert faults["compiled"] == faults["interpreter"]
+    assert faults["compiled"][1] == 2  # byte address of the faulting lds
 
 
 def test_block_cache_metrics_reach_the_telemetry_snapshot(testapp):
     """avr.blocks.* gauges + the fusion-length histogram are sampled
-    pull-style at snapshot time when the protected board runs on blocks."""
+    pull-style at snapshot time when the protected board runs."""
     from repro.core import MavrSystem
     from repro.telemetry import Telemetry
 
     tel = Telemetry(enabled=True)
-    system = MavrSystem(testapp, seed=7, telemetry=tel, engine="blocks")
+    system = MavrSystem(testapp, seed=7, telemetry=tel, engine="compiled")
     system.boot()
     system.run(5)
     engine = system.autopilot.cpu.engine
@@ -365,8 +376,8 @@ def test_block_cache_metrics_reach_the_telemetry_snapshot(testapp):
     registry.snapshot()  # collectors are pull-style: sample now
     built = registry.value("avr.blocks.built", component="cpu")
     entered = registry.value("avr.blocks.entered", component="cpu")
-    assert built == engine.blocks_built > 0
-    assert entered == engine.blocks_entered > built  # blocks are reused
+    assert built == engine.blocks_built > 0  # hot heads were fused
+    assert entered == engine.blocks_entered > built  # cold-tier entries
     [histogram] = registry.find("avr.blocks.fusion_length", component="cpu")
     assert histogram.count == engine.blocks_built
     assert 1 <= histogram.min and histogram.max <= FUSE_CAP
@@ -383,11 +394,11 @@ def test_terminator_fault_reconstructs_exact_state():
         I(M.ST_X, rr=0),
     ]
     faults = {}
-    for engine in ("interpreter", "blocks"):
+    for engine in ("interpreter", "compiled"):
         cpu = _cpu(program, engine=engine)
         with pytest.raises(CpuFault) as excinfo:
             cpu.run(10)
         fault = excinfo.value
         faults[engine] = (str(fault), fault.pc, fault.cycles,
                           cpu.pc, cpu.cycles, cpu.instructions_retired)
-    assert faults["blocks"] == faults["interpreter"]
+    assert faults["compiled"] == faults["interpreter"]

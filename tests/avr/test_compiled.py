@@ -1,12 +1,13 @@
-"""Unit coverage for the compiled superblock engine (:mod:`repro.avr.compiled`).
+"""Unit coverage for the compiled engine's hot tier (:mod:`repro.avr.compiled`).
 
 The contract under test: exec-generated block bodies are *observably
 identical* to per-instruction retirement — identical flag algebra on
 randomized ALU programs, interrupts serviced at the exact same points,
-identical crashes with identical fault state, no stale compiled code
-after a flash write — while the codegen machinery itself (warm
-threshold, compile budget, cache eviction, liveness elision, trace-hook
-degradation) behaves as documented.
+identical crashes with identical fault state, no stale code after a
+flash write — while the tiering machinery itself (warm threshold, the
+process-wide body cache keyed by block bytes, the decode memo, liveness
+elision, trace-hook degradation) behaves as documented.  The cold tier
+and the fusion rules are covered in ``test_blocks.py``.
 """
 
 import random
@@ -24,14 +25,30 @@ from repro.avr import (
     encode_stream,
 )
 from repro.avr.blocks import WRITE_CAPABLE
-from repro.avr.compiled import SOURCE_TEMPLATES
+from repro.avr.compiled import (
+    BODY_CACHE,
+    DECODE_MEMO,
+    SOURCE_TEMPLATES,
+    SharedCache,
+    compile_superblock,
+)
 from repro.avr.engine import ENGINES, HANDLERS
+from repro.avr.memory import DATA_SPACE_SIZE
 from repro.errors import CpuFault, IllegalExecutionError
 
 I = Instruction
 M = Mnemonic
 
 HOOK_ADDR = 0x0300  # an ordinary SRAM byte, hooked like a peripheral register
+NEVER = 1 << 62  # a warm threshold no head ever reaches: all cold
+
+
+@pytest.fixture(autouse=True)
+def cold_shared_caches():
+    """Compile counts below assume no body was compiled earlier in the
+    process, so every test starts with empty process-wide caches."""
+    BODY_CACHE.clear()
+    DECODE_MEMO.clear()
 
 
 def _cpu(program, engine="compiled", setup=None, warm=None):
@@ -79,17 +96,20 @@ def test_templates_cover_only_fusable_body_mnemonics():
     assert not (WRITE_CAPABLE & set(SOURCE_TEMPLATES))
 
 
-# -- warm threshold and compile budget ------------------------------------
+# -- warm threshold ---------------------------------------------------------
 
 
 def test_blocks_compile_only_after_warm_threshold_entries():
-    cpu = _cpu(_hot_loop(6))  # default WARM_THRESHOLD == 2
+    cpu = _cpu(_hot_loop(6))
     engine = cpu.engine
-    cpu.run(7)  # first entry: cold, runs through the shared blocks path
+    threshold = CompiledEngine.WARM_THRESHOLD
+    cpu.run(7 * (threshold - 1))  # cold entries: the per-instruction tier
     assert engine.compiled_built == 0
     assert engine.compiled_entered == 0
-    assert engine.blocks_entered == 1
-    cpu.run(7)  # second entry: compiles and runs the generated callable
+    assert engine.blocks_entered == threshold - 1
+    assert engine.blocks_built == 0  # cold heads are not even fused
+    cpu.run(7)  # the threshold-th entry fuses, compiles and runs the body
+    assert engine.blocks_built == 1
     assert engine.compiled_built == 1
     assert engine.compiled_entered == 1
     cpu.run(70)  # reused, never rebuilt
@@ -97,15 +117,15 @@ def test_blocks_compile_only_after_warm_threshold_entries():
     assert engine.compiled_entered == 11
 
 
-def test_zero_compile_budget_degrades_to_blocks_path_bit_exact():
+def test_threshold_never_reached_runs_cold_tier_bit_exact():
     reference = _cpu(_hot_loop(6), engine="interpreter")
-    subject = _cpu(_hot_loop(6), warm=1)
-    subject.engine.COMPILE_BUDGET_S = 0.0
+    subject = _cpu(_hot_loop(6), warm=NEVER)
     assert reference.run(70) == subject.run(70) == 70
     assert _state(subject) == _state(reference)
     assert subject.engine.compiled_built == 0
     assert subject.engine.compiled_entered == 0
     assert subject.engine.blocks_entered == 10
+    assert subject.engine.blocks_built == 0
 
 
 # -- generated source shape -----------------------------------------------
@@ -120,12 +140,11 @@ def test_generated_source_folds_terminator_and_elides_dead_flags():
     ]
     cpu = _cpu(program, warm=1)
     cpu.run(8)
-    [cb] = cpu.engine._compiled.values()
-    source = cb.source
-    assert cb.fn is not None
-    # inline terminator: jump target and retire count folded to constants,
-    # no handler call left in the body
-    assert "cpu.pc = 0" in source
+    [block] = cpu.engine._blocks.values()
+    _fn, source = compile_superblock(block)
+    # inline terminator: jump target (relative to the entry pc) and
+    # retire count folded to constants, no handler call left in the body
+    assert "cpu.pc = pc\n" in source
     assert "cpu.instructions_retired += 4" in source
     assert "_ht" not in source
     # liveness elision: only the second add's H/C and the inc's Z survive
@@ -283,7 +302,7 @@ def test_spm_write_mid_run_invalidates_compiled_blocks():
         cpu.run(100)
         assert cpu.halted and cpu.data.read_reg(16) == 1
         if engine == "compiled":
-            assert cpu.engine._compiled[3].fn is not None
+            assert 3 in cpu.engine._hot  # the block holding `inc` is hot
         # second pass: the store rewrites word 3 under the compiled block
         armed[0] = True
         cpu.reset()
@@ -297,19 +316,101 @@ def test_spm_write_mid_run_invalidates_compiled_blocks():
 
 
 def test_repeated_reflash_does_not_grow_the_compiled_cache():
-    """Every generation change evicts: N reflash cycles leave exactly the
-    live blocks compiled, never an accumulation of stale callables."""
+    """Every generation change drops the per-generation state, and the
+    shared body cache serves the re-fused block: N reflash cycles of the
+    same bytes compile once and never accumulate bodies or decodes."""
     cpu = _cpu(_hot_loop(6), warm=1)
     engine = cpu.engine
     for generation in range(8):
         cpu.run(70)
-        assert len(engine._compiled) == 1  # one live block, nothing stale
+        assert len(engine._hot) == 1  # one live block, nothing stale
         # reflash word 0 in place (same instruction, new generation)
         cpu.flash.write_word(0, encode(I(M.INC, rd=16))[0])
         cpu.reset()
-    # each generation recompiled its block from scratch: eviction, not reuse
-    assert engine.compiled_built == 8
-    assert len(engine.compile_times_ms) == 8
+    assert engine.blocks_built == 8  # re-fused once per generation...
+    assert engine.compiled_built == 1  # ...but compiled once, by its bytes
+    assert len(engine.compile_times_ms) == 1
+    assert len(BODY_CACHE) == 1
+    assert len(DECODE_MEMO) == 5  # four distinct `inc`s and the `rjmp`
+
+
+# -- process-wide sharing ---------------------------------------------------
+
+
+def _at_base(program, base, engine="compiled", warm=None):
+    """``program`` loaded at word address ``base`` and entered there."""
+    cpu = AvrCpu(engine=engine)
+    cpu.load_program(encode_stream(program), offset=base * 2)
+    cpu.reset()
+    cpu.pc = base
+    if warm is not None:
+        cpu.engine.WARM_THRESHOLD = warm
+    return cpu
+
+
+def test_one_body_serves_the_same_bytes_at_any_address_on_any_core():
+    """Bodies are position-independent: the same block bytes moved to a
+    new address (what every MAVR re-randomization does) and run on a
+    second core reuse the first core's body, with PCs still exact."""
+    program = [
+        I(M.LDI, rd=16, k=3),
+        I(M.INC, rd=17),                # loop head
+        I(M.DEC, rd=16),
+        I(M.BRBC, b=1, k=-3),           # brne back to the loop head
+        I(M.RCALL, k=1),
+        I(M.BREAK),
+        I(M.RET),
+    ]
+    states = []
+    for base in (0x40, 0x1234):
+        reference = _at_base(program, base, engine="interpreter")
+        subject = _at_base(program, base, warm=1)
+        reference.run(100)
+        subject.run(100)
+        assert subject.halted
+        assert _state(subject) == _state(reference), hex(base)
+        states.append(subject.engine)
+    first, second = states
+    assert first.compiled_built > 0
+    assert second.compiled_built == 0  # every body came from the cache
+    assert second.compiled_entered == first.compiled_entered
+
+
+def test_different_bytes_never_share_a_body():
+    """An absolute jump target is part of the key: same shape, different
+    target, different body."""
+    cpus = [_at_base([I(M.INC, rd=16), I(M.JMP, k=target)], 0, warm=1)
+            for target in (0, 4)]
+    for cpu in cpus:
+        cpu.run(2)
+    assert sum(cpu.engine.compiled_built for cpu in cpus) == 2
+    assert len(BODY_CACHE) == 2
+
+
+def test_decode_memo_turns_redecoding_moved_code_into_lookups():
+    program = [I(M.INC, rd=16), I(M.LDS, rd=17, k=0x200), I(M.RJMP, k=-4)]
+    cpu = _cpu(program, warm=NEVER)
+    cpu.run(6)
+    decoded = len(DECODE_MEMO)
+    misses = cpu.engine.decode_misses
+    # MAVR-style move: the same code one word further up
+    cpu.load_program(encode_stream([I(M.NOP)] + program))
+    cpu.reset()
+    cpu.run(7)
+    assert cpu.engine.decode_misses > misses  # new generation, cache refilled
+    assert len(DECODE_MEMO) == decoded + 1  # ...but only the nop was decoded
+
+
+def test_shared_cache_is_a_bounded_lru():
+    cache = SharedCache(2)
+    cache.put("a", 1)
+    cache.put("b", 2)
+    assert cache.get("a") == 1  # refreshes "a"
+    cache.put("c", 3)  # evicts the least recently used: "b"
+    assert cache.get("b") is None
+    assert (cache.get("a"), cache.get("c"), len(cache)) == (1, 3, 2)
+    cache.clear()
+    assert len(cache) == 0
 
 
 # -- misaligned entry (the ROP gadget property) ---------------------------
@@ -336,10 +437,10 @@ def test_misaligned_entry_compiles_its_own_block():
     cpu.run(3)
     cpu.pc = 1
     cpu.run(10)
-    compiled = cpu.engine._compiled
-    assert compiled[0].count == 1        # [call] — control flow terminates
-    assert compiled[1].count == 2        # [nop, break] compiled from word 1
-    assert cpu.engine.compiled_built == 2
+    hot = cpu.engine._hot
+    assert hot[0][1] == 1                # [call] — control flow terminates
+    assert hot[1][1] == 2                # [nop, break] compiled from word 1
+    assert len(BODY_CACHE) == 2          # two distinct bodies, no sharing
 
 
 # -- budget exactness -----------------------------------------------------
@@ -369,7 +470,7 @@ def test_trace_hooks_force_per_instruction_fallback():
     assert subject.halted
     divergence = diff_state_streams(ref_stream, sub_stream)
     assert divergence is None, divergence
-    # neither the compiled nor the fused fast path ran under a hook
+    # neither the compiled nor the cold tier ran under a hook
     assert subject.engine.compiled_entered == 0
     assert subject.engine.blocks_entered == 0
 
@@ -421,6 +522,31 @@ def test_mid_block_callout_fault_reconstructs_exact_state():
                           cpu.pc, cpu.cycles, cpu.instructions_retired)
     assert faults["compiled"] == faults["interpreter"]
     assert faults["compiled"][1] == 2  # byte address of the faulting lds
+
+
+def test_fault_in_second_of_two_identical_slots_reconstructs_that_slot():
+    """The decode memo hands both `ld r4, Z+` slots the same Instruction
+    object; the fault must still be pinned to the second slot's pc and
+    cycles (by body index, not by object identity)."""
+    last = DATA_SPACE_SIZE - 1
+    program = [
+        I(M.LDI, rd=30, k=last & 0xFF),  # Z = last data-space byte
+        I(M.LDI, rd=31, k=last >> 8),
+        I(M.LD_Z_INC, rd=4),             # word 2: reads the last byte
+        I(M.LD_Z_INC, rd=4),             # word 3: Z is out of range
+        I(M.BREAK),
+    ]
+    faults = {}
+    for engine in ("interpreter", "compiled"):
+        cpu = _cpu(program, engine=engine, warm=1)
+        with pytest.raises(CpuFault) as excinfo:
+            cpu.run(10)
+        fault = excinfo.value
+        faults[engine] = (str(fault), fault.pc, fault.cycles,
+                          cpu.pc, cpu.cycles, cpu.instructions_retired)
+    assert cpu.engine.compiled_built == 1  # the fault came from a body
+    assert faults["compiled"] == faults["interpreter"]
+    assert faults["compiled"][1] == 6  # byte address of the second ld
 
 
 def test_terminator_fault_reconstructs_exact_state():

@@ -1,0 +1,331 @@
+"""Differential property test: shared compiled bodies vs the interpreter.
+
+Generated programs mix ALU runs, forward branches, skips, counted loops,
+``rcall``/``ret`` subroutines, pushes/pops, ``in``/``out``/``sbi``/``cbi``
+(SREG and SPL included) and ``lds``/``sts``/``ld``/``st``/``ldd``/``std``
+against write-hooked, read-hooked and plain SRAM addresses.  Each program is loaded at two base addresses on two cores —
+the swarm shape: the second core's blocks have the same bytes at other
+addresses, so they run the first core's compiled bodies — and the cores
+run alternately in small ``run(n)`` chunks.  After every chunk each core
+must match an interpreter running the same program at the same base,
+with no trace hooks attached: registers, SREG, SP, PC, cycles, retired
+count, halt flag, the whole data space, the peripheral hook log and any
+fault.  The compiled side runs at threshold 1 (every head hot at once),
+at the default threshold and with the threshold never reached (all cold).
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.avr import AvrCpu, CompiledEngine, Instruction, Mnemonic, encode_stream
+from repro.avr.compiled import BODY_CACHE
+from repro.avr.memory import DATA_SPACE_SIZE
+from repro.errors import AvrError
+
+I = Instruction
+M = Mnemonic
+
+NEVER = 1 << 62
+THRESHOLDS = (1, CompiledEngine.WARM_THRESHOLD, NEVER)
+
+WRITE_HOOKED = (0x0300, 0x0301)  # 0x0301's hook overrides the stored byte
+READ_HOOKED = 0x0302  # reads return a running counter
+ADDRESSES = (0x02FE, 0x0300, 0x0301, 0x0302, 0x0304, 0x0310)
+PLAIN_IO = 0x0A  # an unhooked I/O register
+IO_ADDRESSES = (PLAIN_IO, 0x3F, 0x3D)  # plain, SREG, SPL (moves the stack)
+LOOP_REG = 25  # the counted-loop register: nothing else writes it
+WRITABLE = tuple(r for r in range(32) if r != LOOP_REG)
+BASES = (0x0000, 0x0A31)  # word addresses of the two cores' copies
+
+_RR_OPS = (M.ADD, M.ADC, M.SUB, M.SBC, M.AND, M.OR, M.EOR, M.MOV, M.CP, M.CPC,
+           M.MUL)
+_IMM_OPS = (M.SUBI, M.SBCI, M.ANDI, M.ORI, M.CPI, M.LDI)
+_ONE_OPS = (M.INC, M.DEC, M.COM, M.NEG, M.LSR, M.ASR, M.ROR, M.SWAP)
+_POINTERS = {  # pointer register pair -> (load, store) mnemonics per mode
+    26: ((M.LD_X, M.ST_X), (M.LD_X_INC, M.ST_X_INC), (M.LD_X_DEC, M.ST_X_DEC)),
+    28: ((M.LD_Y_INC, M.ST_Y_INC), (M.LD_Y_DEC, M.ST_Y_DEC), (M.LDD_Y, M.STD_Y)),
+    30: ((M.LD_Z_INC, M.ST_Z_INC), (M.LD_Z_DEC, M.ST_Z_DEC), (M.LDD_Z, M.STD_Z)),
+}
+
+
+@st.composite
+def alu_op(draw):
+    kind = draw(st.integers(0, 5))
+    rd = draw(st.sampled_from(WRITABLE))
+    if kind == 0:
+        return I(draw(st.sampled_from(_RR_OPS)), rd=rd, rr=draw(st.integers(0, 31)))
+    if kind == 1:
+        return I(draw(st.sampled_from(_IMM_OPS)), rd=draw(st.integers(16, 24)),
+                 k=draw(st.integers(0, 255)))
+    if kind == 2:
+        return I(draw(st.sampled_from(_ONE_OPS)), rd=rd)
+    if kind == 3:
+        return I(draw(st.sampled_from((M.ADIW, M.SBIW))),
+                 rd=draw(st.sampled_from((26, 28, 30))), k=draw(st.integers(0, 63)))
+    if kind == 4:
+        return I(draw(st.sampled_from((M.BST, M.BLD))), rd=rd, b=draw(st.integers(0, 7)))
+    # no `bset 7` (sei): nothing here requests interrupts
+    return I(draw(st.sampled_from((M.BSET, M.BCLR))), b=draw(st.integers(0, 6)))
+
+
+@st.composite
+def memory_op(draw):
+    """One load or store (with its pointer set-up) at a chosen address."""
+    address = draw(st.sampled_from(ADDRESSES))
+    store = draw(st.booleans())
+    reg = draw(st.sampled_from(WRITABLE if not store else range(32)))
+    if draw(st.booleans()):
+        if store:
+            return [I(M.STS, k=address, rr=reg)]
+        return [I(M.LDS, rd=reg, k=address)]
+    pointer = draw(st.sampled_from(sorted(_POINTERS)))
+    load, store_m = draw(st.sampled_from(_POINTERS[pointer]))
+    setup = [I(M.LDI, rd=pointer, k=address & 0xFF),
+             I(M.LDI, rd=pointer + 1, k=address >> 8)]
+    q = draw(st.integers(0, 3)) if load in (M.LDD_Y, M.LDD_Z) else None
+    if store:
+        return setup + [I(store_m, rr=reg, q=q)]
+    reg = draw(st.sampled_from([r for r in WRITABLE if r not in (pointer, pointer + 1)]))
+    return setup + [I(load, rd=reg, q=q)]
+
+
+@st.composite
+def io_op(draw):
+    """I/O reads and writes, bit set/clear, and the skip instructions."""
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return I(M.IN, rd=draw(st.sampled_from(WRITABLE)),
+                 a=draw(st.sampled_from(IO_ADDRESSES)))
+    if kind == 1:
+        # SPL rarely: moving the stack under a call is the stk_move gadget
+        a = draw(st.sampled_from((PLAIN_IO, PLAIN_IO, 0x3F, 0x3D)))
+        return I(M.OUT, a=a, rr=draw(st.integers(0, 31)))
+    if kind == 2:
+        return I(draw(st.sampled_from((M.SBI, M.CBI))), a=PLAIN_IO,
+                 b=draw(st.integers(0, 7)))
+    if kind == 3:
+        return I(draw(st.sampled_from((M.SBIC, M.SBIS))), a=PLAIN_IO,
+                 b=draw(st.integers(0, 7)))
+    if draw(st.booleans()):
+        return I(M.CPSE, rd=draw(st.integers(0, 31)), rr=draw(st.integers(0, 31)))
+    return I(draw(st.sampled_from((M.SBRC, M.SBRS))),
+             rd=draw(st.integers(0, 31)), b=draw(st.integers(0, 7)))
+
+
+@st.composite
+def straight_item(draw):
+    """An item without jumps or calls, usable anywhere (subroutines too).
+    A skip may hop over the next instruction, two-word ones included."""
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        return draw(memory_op())
+    if kind == 1:
+        return [draw(io_op())] + draw(st.lists(alu_op(), max_size=2))
+    return draw(st.lists(alu_op(), min_size=1, max_size=4))
+
+
+@st.composite
+def item(draw, subs):
+    """A main-line item: straight code, a forward branch, a call, a push or
+    pop.  Branch and call operands are symbolic until layout."""
+    kind = draw(st.integers(0, 9))
+    if kind <= 4:
+        return draw(straight_item())
+    if kind == 5:
+        skip = draw(st.integers(1, 3))
+        if draw(st.booleans()):
+            return [("rjmp", skip)]
+        mnemonic = draw(st.sampled_from((M.BRBS, M.BRBC)))
+        return [("branch", mnemonic, draw(st.integers(0, 7)), skip)]
+    if kind == 6 and subs:
+        return [("rcall", draw(st.integers(0, subs - 1)))]
+    if kind == 7:
+        return [I(M.PUSH, rr=draw(st.integers(0, 31)))]
+    if kind == 8:
+        return [I(M.POP, rd=draw(st.sampled_from(WRITABLE)))]
+    return draw(straight_item())
+
+
+@st.composite
+def programs(draw):
+    subs = draw(st.integers(0, 2))
+    main = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            body = draw(st.lists(item(subs), min_size=1, max_size=4))
+            main.append(("loop", draw(st.integers(1, 12)), body))
+        else:
+            main.append(draw(item(subs)))
+    routines = [draw(st.lists(straight_item(), min_size=1, max_size=3))
+                for _ in range(subs)]
+    return assemble(main, routines)
+
+
+def assemble(main, routines):
+    """Lay out symbolic items into a position-independent instruction list.
+
+    ``main`` entries are items (lists of instructions / symbolic ops) or
+    ``("loop", count, [items])``.  A forward branch skips whole entries of
+    its own sequence (clamped to the sequence's end); calls are relative;
+    the code ends in ``break`` followed by the subroutines.
+    """
+    out = []  # instructions or symbolic ops, in layout order
+    fixups = []  # (index in out, op, index of the branch target in out)
+
+    def emit(entries):
+        starts = []
+        for entry in entries:
+            starts.append(len(out))
+            if isinstance(entry, tuple):  # ("loop", count, body)
+                _, count, body = entry
+                out.append(I(M.LDI, rd=LOOP_REG, k=count))
+                head = len(out)
+                emit(body)
+                out.append(I(M.DEC, rd=LOOP_REG))
+                fixups.append((len(out), ("loop",), head))
+                out.append(("loop",))
+            else:
+                for op in entry:
+                    if isinstance(op, tuple) and op[0] in ("rjmp", "branch"):
+                        fixups.append((len(out), op, (len(starts) - 1, starts)))
+                    out.append(op)
+        starts.append(len(out))
+
+    emit(main)
+    out.append(I(M.BREAK))
+    sub_starts = []
+    for routine in routines:
+        sub_starts.append(len(out))
+        for unit in routine:
+            out.extend(unit)
+        out.append(I(M.RET))
+
+    # word address of every slot (two-word lds/sts shift the rest)
+    words = []
+    address = 0
+    for op in out:
+        words.append(address)
+        address += op.size_words if isinstance(op, Instruction) else 1
+    words.append(address)
+    for index, op in enumerate(out):
+        if isinstance(op, tuple) and op[0] == "rcall":
+            out[index] = I(M.RCALL, k=words[sub_starts[op[1]]] - words[index] - 1)
+    for index, op, target in fixups:
+        if op[0] == "loop":  # back-edge: brne to the loop head
+            out[index] = I(M.BRBC, b=1, k=words[target] - words[index] - 1)
+            continue
+        position, starts = target
+        landing = starts[min(position + 1 + op[-1], len(starts) - 1)]
+        k = words[landing] - words[index] - 1
+        if op[0] == "rjmp":
+            out[index] = I(M.RJMP, k=k)
+        else:
+            out[index] = I(op[1], b=op[2], k=k)
+    return out
+
+
+def _core(program, base, engine, threshold=None):
+    cpu = AvrCpu(engine=engine)
+    cpu.load_program(encode_stream(program), offset=base * 2)
+    cpu.reset()
+    cpu.pc = base
+    if threshold is not None:
+        cpu.engine.WARM_THRESHOLD = threshold
+    log = []
+
+    def write_hook(address, value):
+        log.append(("w", address, value, cpu.cycles, cpu.pc))
+        return value ^ 0xFF if address == WRITE_HOOKED[1] else None
+
+    def read_hook(address):
+        log.append(("r", address))
+        return len(log)
+
+    for address in WRITE_HOOKED:
+        cpu.data.add_write_hook(address, write_hook)
+    cpu.data.add_read_hook(READ_HOOKED, read_hook)
+    return cpu, log
+
+
+def _state(cpu, log):
+    return (
+        cpu.pc, cpu.data.sp, cpu.sreg.byte, cpu.cycles,
+        cpu.instructions_retired, cpu.halted,
+        cpu.data.read_block(0, DATA_SPACE_SIZE), tuple(log),
+    )
+
+
+def _run_chunk(cpu, n):
+    try:
+        cpu.run(n)
+    except AvrError as exc:
+        return (type(exc).__name__, str(exc))
+    return None
+
+
+def check_program(program, chunks, threshold, budget=3000):
+    """Both bases on both engines, alternately, chunk by chunk, until every
+    core halts or faults or has retired ``budget`` instructions."""
+    cores = []
+    for base in BASES:
+        reference = _core(program, base, "interpreter")
+        subject = _core(program, base, "compiled", threshold)
+        cores.append([reference, subject, False])
+    for step, n in enumerate(itertools.cycle(chunks)):
+        live = [core for core in cores if not core[2]]
+        if not live:
+            return
+        core = live[step % len(live)]
+        (reference, ref_log), (subject, sub_log), _ = core
+        ref_fault = _run_chunk(reference, n)
+        sub_fault = _run_chunk(subject, n)
+        assert sub_fault == ref_fault
+        assert _state(subject, sub_log) == _state(reference, ref_log)
+        core[2] = (bool(ref_fault) or reference.halted
+                   or reference.instructions_retired >= budget)
+
+
+chunk_lists = st.lists(st.integers(1, 40), min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=("hot", "default", "cold"))
+@settings(max_examples=25, deadline=None)
+@given(program=programs(), chunks=chunk_lists)
+def test_shared_bodies_match_interpreter(threshold, program, chunks):
+    check_program(program, chunks, threshold)
+
+
+def test_assembled_program_reaches_break():
+    """The generator's layout is sound: a loop around a subroutine call
+    with a branch inside retires cleanly to its break on the interpreter."""
+    program = assemble(
+        [("loop", 3, [[("rcall", 0)], [("branch", M.BRBS, 1, 1)],
+                      [I(M.INC, rd=16)]])],
+        [[[I(M.INC, rd=17)]]],
+    )
+    cpu = AvrCpu(engine="interpreter")
+    cpu.load_program(encode_stream(program))
+    cpu.reset()
+    cpu.run(200)
+    assert cpu.halted
+    assert cpu.data.read_reg(17) == 3
+
+
+def test_second_core_runs_the_first_cores_bodies():
+    """The swarm shape really shares: at threshold 1 the copy at the
+    second base compiles nothing of its own."""
+    BODY_CACHE.clear()
+    program = assemble([("loop", 4, [[I(M.INC, rd=16)], [("rcall", 0)]])],
+                       [[[I(M.STS, k=WRITE_HOOKED[0], rr=16)]]])
+    engines = []
+    for base in BASES:
+        cpu, _ = _core(program, base, "compiled", 1)
+        cpu.run(500)
+        assert cpu.halted
+        engines.append(cpu.engine)
+    assert engines[0].compiled_built > 0
+    assert engines[1].compiled_built == 0
+    check_program(program, [3, 5], 1)

@@ -1,9 +1,10 @@
 """Unit coverage for the execution engines.
 
-The contract under test: the predecoded engine is *observably identical*
-to the reference interpreter — same architectural state per retired
-instruction, same crashes with the same messages — while never executing
-a decode that is stale with respect to the current flash contents.
+The contract under test: the compiled engine's decode cache is
+*observably identical* to the reference interpreter — same architectural
+state per retired instruction, same crashes with the same messages —
+while never executing a decode that is stale with respect to the current
+flash contents.
 """
 
 import pytest
@@ -25,9 +26,9 @@ M = Mnemonic
 
 
 def _pair(program, max_instructions=10_000, setup=None):
-    """Run ``program`` on both engines; return (interpreter, predecoded)."""
+    """Run ``program`` on both engines; return (interpreter, compiled)."""
     cpus = []
-    for engine in ("interpreter", "predecoded"):
+    for engine in ("interpreter", "compiled"):
         cpu = AvrCpu(engine=engine)
         cpu.load_program(encode_stream(program))
         cpu.reset()
@@ -48,7 +49,7 @@ def test_every_mnemonic_has_handler_and_cycle_cost():
 def test_unknown_engine_name_rejected():
     with pytest.raises(ValueError, match="unknown execution engine"):
         AvrCpu(engine="jit")
-    assert sorted(ENGINES) == ["blocks", "compiled", "interpreter", "predecoded"]
+    assert sorted(ENGINES) == ["compiled", "interpreter"]
 
 
 # -- flash generation counter -------------------------------------------
@@ -146,7 +147,7 @@ def test_crash_parity_undecodable_and_out_of_image():
     # 0xFFFF does not decode; walking past code_limit is a crash too.
     for raw in (b"\xff\xff", encode_stream([I(M.NOP)])):
         errors = []
-        for engine in ("interpreter", "predecoded"):
+        for engine in ("interpreter", "compiled"):
             cpu = AvrCpu(engine=engine)
             cpu.load_program(raw)
             cpu.reset()
@@ -179,7 +180,7 @@ def test_misaligned_fetch_decodes_second_word_independently():
     # call 0x0000 encodes as 0x940E 0x0000; landing on the second word
     # must decode it as its own instruction (nop), same on both engines.
     raw = encode_stream([I(M.CALL, k=0), I(M.BREAK)])
-    for engine in ("interpreter", "predecoded"):
+    for engine in ("interpreter", "compiled"):
         cpu = AvrCpu(engine=engine)
         cpu.load_program(raw)
         cpu.reset()
@@ -193,7 +194,7 @@ def test_misaligned_fetch_decodes_second_word_independently():
 
 def test_stale_decode_never_executes_after_reprogram():
     """Reprogramming the same addresses must execute the *new* words."""
-    cpu = AvrCpu(engine="predecoded")
+    cpu = AvrCpu(engine="compiled")
     cpu.load_program(encode_stream([I(M.LDI, rd=16, k=1), I(M.BREAK)]))
     cpu.reset()
     cpu.run(10)
@@ -208,7 +209,7 @@ def test_stale_decode_never_executes_after_reprogram():
 
 
 def test_spm_style_self_write_invalidates():
-    cpu = AvrCpu(engine="predecoded")
+    cpu = AvrCpu(engine="compiled")
     cpu.load_program(encode_stream([I(M.LDI, rd=16, k=1), I(M.BREAK)]))
     cpu.reset()
     cpu.run(10)
@@ -220,7 +221,7 @@ def test_spm_style_self_write_invalidates():
 
 
 def test_cache_reused_across_runs_until_flash_changes():
-    cpu = AvrCpu(engine="predecoded")
+    cpu = AvrCpu(engine="compiled")
     cpu.load_program(encode_stream([
         I(M.INC, rd=16), I(M.RJMP, k=-2),
     ]))
@@ -237,7 +238,7 @@ def test_cache_reused_across_runs_until_flash_changes():
 
 def test_step_also_sees_invalidation():
     """step() goes through the same cache, so it must invalidate too."""
-    cpu = AvrCpu(engine="predecoded")
+    cpu = AvrCpu(engine="compiled")
     cpu.load_program(encode_stream([I(M.LDI, rd=16, k=1), I(M.BREAK)]))
     cpu.reset()
     assert cpu.step().k == 1

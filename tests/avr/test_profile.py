@@ -1,7 +1,7 @@
 """Unit tests for the PC profiler: attribution, modes, anomaly checks.
 
-Engine-spanning consistency (exact totals equal the cycle counter on all
-four engines, block-mode tolerance) lives in
+Engine-spanning consistency (exact totals equal the cycle counter on
+both engines, block-mode tolerance) lives in
 ``tests/integration/test_profile_lockstep.py``; this file covers the
 pieces in isolation on synthetic programs.
 """
@@ -24,7 +24,7 @@ I = Instruction
 M = Mnemonic
 
 
-def run_profiled(program, mode="exact", engine="predecoded", table=None,
+def run_profiled(program, mode="exact", engine="compiled", table=None,
                  max_instructions=500, sp=None):
     cpu = AvrCpu(engine=engine)
     cpu.load_program(encode_stream(program))
@@ -147,18 +147,20 @@ def test_detach_removes_trace_hook():
 
 def test_block_mode_on_superblock_engine_uses_profile_hook():
     cpu, profiler = run_profiled(
-        [I(M.NOP)] * 20 + [I(M.BREAK)], mode="block", engine="blocks"
+        [I(M.NOP)] * 20 + [I(M.BREAK)], mode="block", engine="compiled"
     )
     assert profiler.effective_mode == "block"
     assert not cpu.trace_hooks  # the fast path stayed fast
     assert profiler._block_counts
-    # block attribution reconstructs per-PC weights at snapshot time
-    assert profiler.total_cycles > 0
+    # block attribution reconstructs per-PC weights at snapshot time; the
+    # cold head was fused for attribution, so straight-line code is exact
+    assert profiler.total_cycles == cpu.cycles
+    assert cpu.engine.compiled_built == 0  # ...but never compiled
 
 
 def test_block_mode_degrades_to_exact_on_per_instruction_engine():
     cpu, profiler = run_profiled(
-        [I(M.NOP)] * 5 + [I(M.BREAK)], mode="block", engine="predecoded"
+        [I(M.NOP)] * 5 + [I(M.BREAK)], mode="block", engine="interpreter"
     )
     assert profiler.mode == "block"
     assert profiler.effective_mode == "exact"
@@ -166,7 +168,7 @@ def test_block_mode_degrades_to_exact_on_per_instruction_engine():
 
 
 def test_block_mode_detach_clears_engine_hook():
-    cpu = AvrCpu(engine="blocks")
+    cpu = AvrCpu(engine="compiled")
     cpu.load_program(encode_stream([I(M.BREAK)]))
     cpu.reset()
     profiler = AvrProfiler(mode="block").attach(cpu, cpu.engine)

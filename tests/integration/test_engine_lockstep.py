@@ -1,18 +1,21 @@
-"""Differential tests: predecoded + block + compiled engines vs the
-reference interpreter on the paper's real scenarios.
+"""Differential tests: the compiled engine vs the reference interpreter
+on the paper's real scenarios.
 
-These are the acceptance gates of the execution-engine PRs: the V2
-stealthy attack and a full MAVR re-randomization boot must produce
-bit-for-bit identical PC/SP/SREG/cycle streams on all four engines,
-trace hooks must fire with identical ``(pc, insn)`` sequences, and after
-the master detects a crash and re-randomizes, the next ``run()`` must
-execute the *new* image (the stale-decode regression).
+These are the acceptance gates of the execution engine: the V2 stealthy
+attack and a full MAVR re-randomization boot must produce bit-for-bit
+identical PC/SP/SREG/cycle streams, trace hooks must fire with identical
+``(pc, insn)`` sequences, and after the master detects a crash and
+re-randomizes, the next ``run()`` must execute the *new* image (the
+stale-decode regression).
 
-The block and compiled engines are exercised twice per scenario: with a
-``CpuStateStream`` attached (which transparently degrades them to exact
-per-instruction retirement — that path must stay bit-exact) and with no
-hooks at all (the fused/compiled fast paths — end states and attack
-outcomes must still match the reference exactly).
+The compiled engine runs in three configurations: its default warm
+threshold, threshold 1 (every block head compiled on first entry) and a
+threshold never reached (every head on the per-instruction cold tier).
+Each is exercised twice per scenario: with a ``CpuStateStream`` attached
+(which degrades the engine to exact per-instruction retirement — that
+path must stay bit-exact) and with no hooks at all (the tiered fast
+path — end states and attack outcomes must still match the reference
+exactly).
 """
 
 import random
@@ -27,8 +30,24 @@ from repro.core.preprocess import preprocess
 from repro.firmware import build_testapp
 from repro.uav import Autopilot, AutopilotStatus
 
-ENGINES = ("interpreter", "predecoded", "blocks", "compiled")
+NEVER = 1 << 62  # a warm threshold no block head ever reaches
+# configuration -> (engine, warm-threshold override)
+CONFIGS = {
+    "interpreter": ("interpreter", None),
+    "compiled": ("compiled", None),
+    "compiled-hot": ("compiled", 1),
+    "compiled-cold": ("compiled", NEVER),
+}
+ENGINES = tuple(CONFIGS)
 REFERENCE = "interpreter"
+
+
+def _autopilot(image, config):
+    engine, warm = CONFIGS[config]
+    uav = Autopilot(image, engine=engine)
+    if warm is not None:
+        uav.cpu.engine.WARM_THRESHOLD = warm
+    return uav
 
 
 @pytest.fixture(scope="module")
@@ -37,11 +56,11 @@ def image():
 
 
 def test_v2_stealthy_attack_lockstep(image):
-    """The paper's core scenario retires identically on both engines."""
+    """The paper's core scenario retires identically on every engine."""
     streams = {}
     outcomes = {}
     for engine in ENGINES:
-        uav = Autopilot(image, engine=engine)
+        uav = _autopilot(image, engine)
         streams[engine] = CpuStateStream().attach(uav.cpu)
         outcomes[engine] = StealthyAttack(image).execute(uav, values=b"\x40\x00\x00")
     for engine in ENGINES:
@@ -56,7 +75,7 @@ def test_mavr_rerandomization_boot_lockstep(image):
     """Boot-time randomization + protected flight, engine-independent."""
     streams = {}
     for engine in ENGINES:
-        uav = Autopilot(image, engine=engine)
+        uav = _autopilot(image, engine)
         master = MasterProcessor(uav, rng=random.Random(2015))
         master.deploy(preprocess(image))
         master.boot(attack_detected=True)  # force a fresh permutation
@@ -75,7 +94,7 @@ def test_trace_hook_parity_stealthy_scenario(image):
     uncached modes across the stealthy_attack_demo scenario."""
     traces = {}
     for engine in ENGINES:
-        uav = Autopilot(image, engine=engine)
+        uav = _autopilot(image, engine)
         trace = ExecutionTrace()
         trace.attach(uav.cpu)
         StealthyAttack(image).execute(uav, values=b"\x40\x00\x00")
@@ -91,7 +110,7 @@ def test_trace_hook_parity_stealthy_scenario(image):
 def test_no_stale_decodes_after_crash_rerandomization(image):
     """After the master detects a crash and re-randomizes, every retired
     instruction must decode from the *new* image's bytes."""
-    uav = Autopilot(image, engine="predecoded")
+    uav = Autopilot(image, engine="compiled")
     master = MasterProcessor(uav, rng=random.Random(7))
     master.deploy(preprocess(image))
     master.boot(attack_detected=True)
@@ -133,7 +152,7 @@ def test_no_stale_decodes_after_crash_rerandomization(image):
     assert moved > 0
 
 
-# -- block-engine fast path (no hooks attached, superblocks actually fuse) --
+# -- tiered fast path (no hooks attached, blocks actually compile) ----------
 
 
 def _architectural_state(cpu):
@@ -149,20 +168,20 @@ def _architectural_state(cpu):
 
 def test_v2_attack_identical_outcome_on_fused_fast_path(image):
     """The V2 stealthy attack, end to end, with *no* hooks attached: the
-    block engine executes fused superblocks the whole way and must still
-    produce an identical AttackOutcome and identical architectural state."""
+    compiled engine runs its tiers the whole way and must still produce an
+    identical AttackOutcome and identical architectural state."""
     outcomes = {}
     states = {}
-    entered = {}
     compiled_entered = {}
     for engine in ENGINES:
-        uav = Autopilot(image, engine=engine)
+        uav = _autopilot(image, engine)
         outcomes[engine] = StealthyAttack(image).execute(uav)
         states[engine] = _architectural_state(uav.cpu)
-        entered[engine] = getattr(uav.cpu.engine, "blocks_entered", 0)
         compiled_entered[engine] = getattr(uav.cpu.engine, "compiled_entered", 0)
-    assert entered["blocks"] > 1_000  # the fused path genuinely ran
-    assert compiled_entered["compiled"] > 1_000  # ...and so did the compiled one
+    # compiled bodies genuinely ran, except where no head may warm up
+    assert compiled_entered["compiled"] > 1_000
+    assert compiled_entered["compiled-hot"] > 1_000
+    assert compiled_entered["compiled-cold"] == 0
     for engine in ENGINES[1:]:
         assert outcomes[engine] == outcomes[REFERENCE], engine
         assert states[engine] == states[REFERENCE], engine
@@ -173,7 +192,7 @@ def test_mavr_boot_identical_end_state_on_fused_fast_path(image):
     attached: cycle totals and registers at the run boundary must agree."""
     states = {}
     for engine in ENGINES:
-        uav = Autopilot(image, engine=engine)
+        uav = _autopilot(image, engine)
         master = MasterProcessor(uav, rng=random.Random(2015))
         master.deploy(preprocess(image))
         master.boot(attack_detected=True)

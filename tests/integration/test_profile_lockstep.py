@@ -1,4 +1,4 @@
-"""Profiler consistency across all four engines, plus the V2 forensic
+"""Profiler consistency across both engines, plus the V2 forensic
 golden test.
 
 The profiler's accuracy contract (docs/OBSERVABILITY.md):
@@ -6,7 +6,7 @@ The profiler's accuracy contract (docs/OBSERVABILITY.md):
 * ``exact`` mode attributes *every* cycle the core spends — the sum of
   per-PC samples equals the CPU cycle counter bit-for-bit on every
   engine, and the per-function tables are identical across engines.
-* ``block`` mode (superblock engines only) charges whole cached blocks;
+* ``block`` mode (compiled engine only) charges whole fused blocks;
   taken-branch extras, interrupt service overhead and budget-tail
   instructions are invisible at that granularity, so its totals agree
   with ``exact`` only to within a few percent — but the hot-function
@@ -21,7 +21,7 @@ import pytest
 from repro.avr import AvrProfiler, FlightRecorder
 from repro.sim import Board, ScenarioSpec, run_scenario
 
-ENGINES = ("interpreter", "predecoded", "blocks", "compiled")
+ENGINES = ("interpreter", "compiled")
 
 
 def profile_flight(engine, mode, ticks=40):
@@ -57,9 +57,9 @@ def test_exact_totals_equal_cycle_counter_on_all_engines():
 
 # -- block mode: fast-path attribution within tolerance ---------------------
 
-@pytest.mark.parametrize("engine", ("blocks", "compiled"))
+@pytest.mark.parametrize("engine", ("compiled",))
 def test_block_mode_agrees_with_exact_within_granularity(engine):
-    exact = profile_flight("predecoded", "exact")
+    exact = profile_flight("interpreter", "exact")
     block = profile_flight(engine, "block")
     assert block.profiler.effective_mode == "block"
     # the superblock fast path stayed fast: no trace hooks attached

@@ -87,10 +87,25 @@ def test_torn_object_file_reads_as_miss(tmp_path):
 def test_object_memo_is_bounded(tmp_path):
     cache = ArtifactCache(tmp_path)
     for index in range(MEMO_LIMIT + 8):
-        cache.put_object(artifact_key("build", index=index), index)
+        key = artifact_key("build", index=index)
+        cache.put_object(key, index)
+        assert cache.get_object(key) == index  # reads fill the memo
     assert len(cache._memo) == MEMO_LIMIT
     # the oldest entries were evicted but remain readable from disk
     assert cache.get_object(artifact_key("build", index=0)) == 0
+
+
+def test_put_object_does_not_memoize(tmp_path):
+    """Publishing leaves the memo empty (a process rarely reads back what
+    it wrote, e.g. per-seed board snapshots); a later read still sees an
+    equal value and memoizes it."""
+    cache = ArtifactCache(tmp_path)
+    key = artifact_key("board", app="published")
+    value = {"registers": list(range(32))}
+    cache.put_object(key, value)
+    assert len(cache._memo) == 0
+    assert cache.get_object(key) == value
+    assert len(cache._memo) == 1
 
 
 # -- get_cache resolution ----------------------------------------------------
