@@ -443,6 +443,23 @@ def test_misaligned_entry_compiles_its_own_block():
     assert len(BODY_CACHE) == 2          # two distinct bodies, no sharing
 
 
+# -- image limit ------------------------------------------------------------
+
+
+def test_shrunk_image_limit_refuses_hot_blocks_that_cross_it():
+    """A hot block fused under one image limit must not run past a smaller
+    one: the crash lands where per-instruction execution puts it."""
+    faults = {}
+    for engine in ("interpreter", "compiled"):
+        cpu = _cpu(_hot_loop(6), engine=engine, warm=1)
+        cpu.run(70)  # the whole 7-instruction loop is one hot block
+        cpu.code_limit = 6  # now only the first three words are inside
+        with pytest.raises(IllegalExecutionError) as excinfo:
+            cpu.run(70)
+        faults[engine] = (str(excinfo.value), _state(cpu))
+    assert faults["compiled"] == faults["interpreter"]
+
+
 # -- budget exactness -----------------------------------------------------
 
 
