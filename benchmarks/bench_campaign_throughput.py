@@ -9,8 +9,8 @@ fanned out by :class:`repro.sim.CampaignRunner`.  Three measurements:
   programming + boot, exactly as before the fast path existed;
 * **warm runs at jobs ∈ {1, 2, 4}** — a priming pass publishes the
   build/deploy/board artifacts, then every job level re-runs the same
-  specs against the shared cache root (the CI-rerun / resume / serve
-  traffic shape);
+  specs against the shared cache root (the CI-rerun / resume traffic
+  shape);
 * **per-scenario setup time** — the ``build+preprocess+program+boot``
   host milliseconds from the phase attribution, cold vs warm.
 

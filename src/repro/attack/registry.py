@@ -1,10 +1,7 @@
 """Pluggable attack registry: every attack kind the scenario layer can play.
 
-Before this module, the v1/v2/v3/guess/oracle wiring lived as string
-literals spread across ``sim/scenario.py``, ``tools/cli.py`` and
-``sim/serve.py`` — adding an attack meant editing three dispatch tables
-in sync.  Now each attack is one :class:`AttackKind` descriptor
-registered here, and everything else derives from the registry:
+Each attack kind is one :class:`AttackKind` descriptor registered here,
+and everything else derives from the registry:
 
 * ``ScenarioSpec`` validation (:data:`repro.sim.ATTACK_VARIANTS` is
   ``attack_names()``),

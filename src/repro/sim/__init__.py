@@ -17,7 +17,6 @@ schema, the runner semantics and the determinism contract.
 
 from .artifacts import ArtifactCache, artifact_key, get_cache
 from .campaign import (
-    DEFAULT_SHARDS,
     CampaignReport,
     CampaignRunner,
     aggregate_phases,
@@ -47,7 +46,6 @@ __all__ = [
     "Board",
     "CampaignReport",
     "CampaignRunner",
-    "DEFAULT_SHARDS",
     "PHASE_ORDER",
     "PhaseRecorder",
     "PoolTaskError",

@@ -140,15 +140,6 @@ class ArtifactCache:
             raise
         self._count(self.stores, key)
 
-    # -- text -------------------------------------------------------------
-
-    def get_text(self, key: str) -> Optional[str]:
-        data = self.get_bytes(key)
-        return None if data is None else data.decode("utf-8")
-
-    def put_text(self, key: str, text: str) -> None:
-        self.put_bytes(key, text.encode("utf-8"))
-
     # -- pickled objects (memoized per process) ---------------------------
 
     def get_object(self, key: str) -> Optional[object]:

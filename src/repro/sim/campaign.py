@@ -34,9 +34,6 @@ from .pool import PoolTaskError, _TaskTimeout, call_with_timeout, in_worker, map
 from .scenario import PHASE_ORDER, ScenarioResult, ScenarioSpec, run_scenario
 from .swarm import SwarmSpec, run_swarm_scenario
 
-#: default number of checkpoint shard files a checkpointed campaign keeps
-DEFAULT_SHARDS = 4
-
 
 def spec_digest(spec: ScenarioSpec) -> str:
     """Content digest of a spec, pinning checkpoint lines to their spec.
@@ -239,12 +236,12 @@ class CampaignRunner:
         progress=None,
         cache_dir=None,
         checkpoint_dir=None,
-        shards: int = DEFAULT_SHARDS,
         resume: bool = False,
-        result_sink=None,
     ) -> None:
         self.jobs = jobs
         self.timeout_s = timeout_s
+        if timeout_s is not None and timeout_s <= 0:
+            raise ValueError("timeout_s must be > 0")
         self.jsonl_path = jsonl_path
         self.retry_worker_death = retry_worker_death
         # progress(done, total, index, outcome) — called in the parent as
@@ -252,37 +249,27 @@ class CampaignRunner:
         self.progress = progress
         # artifact-cache root shared by all workers (None disables caching)
         self.cache_dir = None if cache_dir is None else str(Path(cache_dir))
-        # checkpoint shard directory; resume=True replays completed specs
-        # from it instead of re-running them
+        # checkpoint directory; resume=True replays completed specs from
+        # its checkpoint file instead of re-running them
         self.checkpoint_dir = (
             None if checkpoint_dir is None else Path(checkpoint_dir)
         )
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.shards = shards
         self.resume = resume
         if resume and self.checkpoint_dir is None:
             raise ValueError("resume requires a checkpoint_dir")
-        # result_sink(index, result) — called in the parent as each final
-        # ScenarioResult lands (the serve front end streams these)
-        self.result_sink = result_sink
 
-    # -- checkpoint shards -------------------------------------------------
+    # -- checkpoint file ---------------------------------------------------
 
-    def _shard_path(self, index: int) -> Path:
-        return self.checkpoint_dir / f"shard-{index % self.shards}.jsonl"
-
-    def _shard_paths(self) -> List[Path]:
-        return [
-            self.checkpoint_dir / f"shard-{shard}.jsonl"
-            for shard in range(self.shards)
-        ]
+    def _checkpoint_path(self) -> Path:
+        return self.checkpoint_dir / "checkpoint.jsonl"
 
     def _write_checkpoint(
         self, index: int, spec: ScenarioSpec, result: ScenarioResult
     ) -> None:
-        """Append one completed spec to its shard (open-append-close, so an
-        interrupt loses at most the line being written)."""
+        """Append one completed spec to the checkpoint file
+        (open-append-close, so an interrupt loses at most the line being
+        written).  Only the parent process calls this, as each result
+        lands, so the file never has concurrent writers."""
         entry = {
             "index": index,
             "spec": spec_digest(spec),
@@ -292,40 +279,40 @@ class CampaignRunner:
                 for name, cell in result.phases.items()
             },
         }
-        with open(self._shard_path(index), "a", encoding="utf-8") as handle:
+        with open(self._checkpoint_path(), "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
             handle.flush()
 
     def _load_checkpoints(
         self, specs: Sequence[ScenarioSpec]
     ) -> Dict[int, ScenarioResult]:
-        """Replay completed specs from the shard files.
+        """Replay completed specs from the checkpoint file.
 
         Lines that fail to parse (the torn tail of an interrupted append),
         carry an out-of-range index, or whose spec digest does not match
         the current spec list are skipped — those specs simply re-run.
         """
         completed: Dict[int, ScenarioResult] = {}
-        for path in self._shard_paths():
-            if not path.exists():
-                continue
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
+        path = self._checkpoint_path()
+        if not path.exists():
+            return completed
+        with open(path, encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    entry = json.loads(line)
+                    index = entry["index"]
+                    if not 0 <= index < len(specs):
                         continue
-                    try:
-                        entry = json.loads(line)
-                        index = entry["index"]
-                        if not 0 <= index < len(specs):
-                            continue
-                        if entry["spec"] != spec_digest(specs[index]):
-                            continue
-                        completed[index] = _result_from_checkpoint(
-                            index, specs[index], entry
-                        )
-                    except Exception:
+                    if entry["spec"] != spec_digest(specs[index]):
                         continue
+                    completed[index] = _result_from_checkpoint(
+                        index, specs[index], entry
+                    )
+                except Exception:
+                    continue
         return completed
 
     def run(self, specs: Sequence[ScenarioSpec]) -> CampaignReport:
@@ -338,19 +325,16 @@ class CampaignRunner:
             if self.resume:
                 completed = self._load_checkpoints(specs)
             else:
-                for path in self._shard_paths():
-                    if path.exists():
-                        path.unlink()
+                self._checkpoint_path().unlink(missing_ok=True)
         pending = [
             index for index in range(len(specs)) if index not in completed
         ]
 
         on_result = None
-        if self.progress is not None or checkpointing or self.result_sink:
+        if self.progress is not None or checkpointing:
             total = len(specs)
             done = [len(completed)]
             progress = self.progress
-            result_sink = self.result_sink
             runner = self
 
             def on_result(list_index: int, item) -> None:
@@ -361,14 +345,6 @@ class CampaignRunner:
                     and item.outcome not in ("error", "timeout")
                 ):
                     runner._write_checkpoint(index, specs[index], item)
-                if result_sink is not None:
-                    result_sink(
-                        index,
-                        item if is_result else _placeholder(
-                            index, specs[index], "error", item.message,
-                            retried=item.retried,
-                        ),
-                    )
                 if progress is not None:
                     done[0] += 1
                     progress(
@@ -414,7 +390,6 @@ class CampaignRunner:
                 "timeout_s": self.timeout_s,
                 "resumed": len(completed),
                 "cache_dir": self.cache_dir,
-                "shards": self.shards if checkpointing else None,
             },
         )
         if self.jsonl_path is not None:

@@ -112,13 +112,11 @@ def map_indexed(
     results: List[object] = [None] * len(payloads)
     pending = _run_pool(
         worker, payloads, range(len(payloads)), jobs, results,
-        on_result=on_result, defer_dead=True,
+        on_result=on_result,
     )
     if pending and retry_worker_death:
         # one fresh pool, one retry per dead task
-        still_dead = _run_pool(
-            worker, payloads, pending, jobs, results, defer_dead=True
-        )
+        still_dead = _run_pool(worker, payloads, pending, jobs, results)
         for index in still_dead:
             error = results[index]
             if isinstance(error, PoolTaskError):
@@ -147,12 +145,11 @@ def _run_pool(
     jobs: int,
     results: List[object],
     on_result: Optional[Callable[[int, object], None]] = None,
-    defer_dead: bool = False,
 ) -> List[int]:
     """Run the given payload indices; fill ``results``; return the indices
     whose worker died (candidates for retry).  ``on_result`` fires per
-    finished index; dead indices are skipped when ``defer_dead`` (the
-    caller will report them after the retry pass)."""
+    finished index except dead ones (the caller reports those after the
+    retry pass)."""
     dead: List[int] = []
     executor = ProcessPoolExecutor(
         max_workers=min(jobs, max(len(list(indices)), 1)),
@@ -177,7 +174,7 @@ def _run_pool(
                 results[index] = PoolTaskError(
                     index=index, kind="exception", message=repr(exc)
                 )
-            if on_result is not None and not (died and defer_dead):
+            if on_result is not None and not died:
                 on_result(index, results[index])
     finally:
         executor.shutdown(wait=False, cancel_futures=True)

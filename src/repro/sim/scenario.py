@@ -136,7 +136,7 @@ class ScenarioSpec:
 #: inline-image decode cache: bounded, content-keyed LRU.  The key is the
 #: BLAKE2b digest of the preprocessed HEX payload itself, so two specs
 #: carrying byte-identical firmware share one decode and a long-lived
-#: serve-mode process can never grow it past the bound.
+#: process can never grow it past the bound.
 _IMAGE_CACHE: "OrderedDict[str, FirmwareImage]" = OrderedDict()
 _IMAGE_CACHE_LIMIT = 16
 

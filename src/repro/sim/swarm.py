@@ -4,7 +4,7 @@ A :class:`SwarmSpec` is the fleet analogue of a
 :class:`~repro.sim.scenario.ScenarioSpec`: frozen, picklable, and a pure
 function of its fields, so swarm campaigns inherit the whole campaign
 fast path — process fan-out, artifact cache, warm board forks,
-checkpoint shards — without new runner code.  Each fleet member is
+checkpoints — without new runner code.  Each fleet member is
 expanded to a derived single-board spec (:meth:`SwarmSpec.board_spec`)
 whose seed comes from :func:`~repro.sim.scenario.derive_seed`, so board
 i's firmware build, deploy blob and booted-board snapshot are shared

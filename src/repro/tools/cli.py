@@ -56,7 +56,6 @@ from ..core.defenses import DEFENSE_BACKENDS
 from ..firmware import build_app, manifest_by_name
 from ..sim import (
     ATTACK_VARIANTS,
-    DEFAULT_SHARDS,
     Board,
     CampaignRunner,
     ScenarioSpec,
@@ -305,6 +304,24 @@ def _cmd_defend(args: argparse.Namespace) -> int:
     return 0 if result.effects == 0 else 1
 
 
+def _seeded_specs(spec_type, count: int, seed: int, label: str, **fields):
+    """``count`` specs of ``spec_type``, each seeded from ``seed``.
+
+    The one place the CLI derives per-scenario seeds: spec *i* gets board
+    seed ``derive_seed(seed, i, "board")``, attacker seed
+    ``derive_seed(seed, i, "attack")`` and label ``f"{label}-{i}"``.
+    """
+    return [
+        spec_type(
+            seed=derive_seed(seed, index, "board"),
+            attack_seed=derive_seed(seed, index, "attack"),
+            label=f"{label}-{index}",
+            **fields,
+        )
+        for index in range(count)
+    ]
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     """Fan ``-n`` attack scenarios over a process pool and aggregate.
 
@@ -315,12 +332,24 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     replay change host time only, at any ``--cache-dir``/``--resume``
     setting too.
     """
-    if getattr(args, "campaign_command", None) == "serve":
-        return _cmd_campaign_serve(args)
     if args.resume and args.checkpoint_dir is None:
         print("campaign: --resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    if args.count < 1:
+        print("campaign: -n must be >= 1", file=sys.stderr)
+        return 2
+    if args.swarm < 0:
+        print("campaign: --swarm must be >= 0", file=sys.stderr)
+        return 2
+    if args.timeout is not None and args.timeout <= 0:
+        print("campaign: --timeout must be > 0", file=sys.stderr)
+        return 2
     kind = attack_kind(args.attack)
+    common = dict(
+        app=args.app, toolchain=args.toolchain, defense=args.defense,
+        engine=args.engine, attack=args.attack,
+        worker_fault_marker=args.inject_worker_fault,
+    )
     if args.swarm:
         if kind.layer != PROTOCOL_LAYER:
             print(
@@ -329,36 +358,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        specs = [
-            SwarmSpec(
-                app=args.app,
-                toolchain=args.toolchain,
-                defense=args.defense,
-                engine=args.engine,
-                boards=args.swarm,
-                seed=derive_seed(args.seed, index, "board"),
-                attack=args.attack,
-                attack_seed=derive_seed(args.seed, index, "attack"),
-                label=f"{args.attack}-swarm-{index}",
-                worker_fault_marker=args.inject_worker_fault,
-            )
-            for index in range(args.count)
-        ]
+        specs = _seeded_specs(
+            SwarmSpec, args.count, args.seed, f"{args.attack}-swarm",
+            boards=args.swarm, **common,
+        )
     else:
-        specs = [
-            ScenarioSpec(
-                app=args.app,
-                toolchain=args.toolchain,
-                defense=args.defense,
-                engine=args.engine,
-                seed=derive_seed(args.seed, index, "board"),
-                attack=args.attack,
-                attack_seed=derive_seed(args.seed, index, "attack"),
-                label=f"{args.attack}-{index}",
-                worker_fault_marker=args.inject_worker_fault,
-            )
-            for index in range(args.count)
-        ]
+        specs = _seeded_specs(
+            ScenarioSpec, args.count, args.seed, args.attack, **common
+        )
     progress = None
     if args.progress:
         labels = [spec.label for spec in specs]
@@ -370,8 +377,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     runner = CampaignRunner(
         jobs=args.jobs, timeout_s=args.timeout, jsonl_path=args.jsonl,
         progress=progress, cache_dir=args.cache_dir,
-        checkpoint_dir=args.checkpoint_dir, shards=args.shards,
-        resume=args.resume,
+        checkpoint_dir=args.checkpoint_dir, resume=args.resume,
     )
     report = runner.run(specs)
     aggregates = report.aggregates
@@ -410,30 +416,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # them, so only runner errors fail a protocol campaign
         return 0 if aggregates["errors"] == 0 else 1
     return 0 if aggregates["effects"] == 0 and aggregates["errors"] == 0 else 1
-
-
-def _cmd_campaign_serve(args: argparse.Namespace) -> int:
-    """Run the stdlib-only campaign job server until interrupted."""
-    import asyncio
-
-    from ..sim.serve import CampaignServer
-
-    server = CampaignServer(
-        host=args.host, port=args.port, default_jobs=args.jobs,
-        cache_dir=args.cache_dir,
-    )
-
-    async def _serve() -> None:
-        await server.start()
-        print(f"campaign server listening on {server.host}:{server.port}",
-              file=sys.stderr, flush=True)
-        await server.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    return 0
 
 
 def _report_data(full: bool) -> dict:
@@ -504,16 +486,9 @@ def _report_data(full: bool) -> dict:
     # by phase (deterministic fields only — see docs/SCENARIOS.md)
     from ..sim import deterministic_phases
 
-    phase_report = CampaignRunner(jobs=1).run([
-        ScenarioSpec(
-            app="testapp",
-            seed=derive_seed(1, index, "board"),
-            attack="v2",
-            attack_seed=derive_seed(1, index, "attack"),
-            label=f"v2-{index}",
-        )
-        for index in range(2)
-    ])
+    phase_report = CampaignRunner(jobs=1).run(
+        _seeded_specs(ScenarioSpec, 2, 1, "v2", app="testapp", attack="v2")
+    )
     data["campaign_phases"] = deterministic_phases(phase_report.phases)
     return data
 
@@ -904,11 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--checkpoint-dir", metavar="DIR",
-        help="write per-shard completion checkpoints here",
+        help="append each completed scenario to a checkpoint file here",
     )
-    campaign.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
-                          help="checkpoint shard file count "
-                               f"(default: {DEFAULT_SHARDS})")
     campaign.add_argument(
         "--resume", action="store_true",
         help="replay completed specs from --checkpoint-dir, run the rest",
@@ -916,21 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_defense_argument(campaign)
     _add_engine_argument(campaign)
     campaign.set_defaults(func=_cmd_campaign)
-
-    campaign_sub = campaign.add_subparsers(dest="campaign_command")
-    serve = campaign_sub.add_parser(
-        "serve",
-        help="job server: campaign requests in, JSONL results streamed back",
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: loopback only)")
-    serve.add_argument("--port", type=int, default=7667,
-                       help="TCP port (default: 7667; 0 picks a free port)")
-    serve.add_argument("--jobs", type=int, default=1,
-                       help="default worker count for requests that omit it")
-    serve.add_argument("--cache-dir", metavar="DIR",
-                       help="artifact cache shared by every served campaign")
-    serve.set_defaults(func=_cmd_campaign_serve)
 
     report = subparsers.add_parser(
         "report", help="paper-vs-measured reproduction summary"

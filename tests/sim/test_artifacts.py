@@ -40,13 +40,6 @@ def test_bytes_round_trip_and_counts(tmp_path):
     }
 
 
-def test_text_round_trip(tmp_path):
-    cache = ArtifactCache(tmp_path)
-    key = artifact_key("hex", app="x")
-    cache.put_text(key, ":00000001FF\n")
-    assert cache.get_text(key) == ":00000001FF\n"
-
-
 def test_put_leaves_no_temp_files(tmp_path):
     cache = ArtifactCache(tmp_path)
     for index in range(5):

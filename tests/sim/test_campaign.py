@@ -233,6 +233,30 @@ def test_task_exception_becomes_error_result_not_crash():
     assert report.aggregates["errors"] == 1
 
 
+def test_timed_out_tasks_become_timeout_results_and_are_not_checkpointed(
+    tmp_path,
+):
+    # far more flight than a 1 s alarm allows (a fresh worker's firmware
+    # build alone can take that long, so there is no in-budget control)
+    specs = [
+        ScenarioSpec(app="testapp", observe_ticks=100_000, label=f"slow{i}")
+        for i in range(2)
+    ]
+    ckpt = tmp_path / "ckpt"
+    report = CampaignRunner(jobs=2, timeout_s=1, checkpoint_dir=ckpt).run(specs)
+    assert [r.outcome for r in report.results] == ["timeout", "timeout"]
+    assert all(r.error == "exceeded 1s" for r in report.results)
+    assert report.aggregates["errors"] == 2
+    checkpoint = ckpt / "checkpoint.jsonl"
+    assert not checkpoint.exists() or not checkpoint.read_text()
+
+
+@pytest.mark.parametrize("timeout_s", (0, -1))
+def test_non_positive_timeout_rejected(timeout_s):
+    with pytest.raises(ValueError):
+        CampaignRunner(timeout_s=timeout_s)
+
+
 def test_map_indexed_orders_and_wraps_exceptions():
     def square(x):
         if x == 2:

@@ -1,5 +1,5 @@
-"""Resume determinism: an interrupted campaign, resumed from its shard
-checkpoints, must emit byte-identical JSONL and aggregates to a run that
+"""Resume determinism: an interrupted campaign, resumed from its
+checkpoint file, must emit byte-identical JSONL and aggregates to a run that
 was never interrupted — at any jobs level (ISSUE 9 satellite)."""
 
 import json
@@ -96,19 +96,19 @@ def test_checkpoints_pin_their_spec_digest(tmp_path):
 def test_corrupt_checkpoint_lines_are_skipped(tmp_path):
     ckpt = tmp_path / "ckpt"
     specs = specs_for(3)
-    CampaignRunner(jobs=1, checkpoint_dir=ckpt, shards=1).run(specs)
-    shard = ckpt / "shard-0.jsonl"
-    lines = shard.read_text().splitlines()
+    CampaignRunner(jobs=1, checkpoint_dir=ckpt).run(specs)
+    checkpoint = ckpt / "checkpoint.jsonl"
+    lines = checkpoint.read_text().splitlines()
     assert len(lines) == 3
     # torn tail (interrupted append) + a foreign digest + junk
     entry = json.loads(lines[1])
     entry["spec"] = "0" * 32
-    shard.write_text(
+    checkpoint.write_text(
         "\n".join([lines[0], json.dumps(entry), lines[2][:-20], "not json"])
         + "\n"
     )
     resumed = CampaignRunner(
-        jobs=1, resume=True, checkpoint_dir=ckpt, shards=1
+        jobs=1, resume=True, checkpoint_dir=ckpt
     ).run(specs)
     assert resumed.runner["resumed"] == 1  # only the intact line replays
     baseline = CampaignRunner(jobs=1).run(specs)
