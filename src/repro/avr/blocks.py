@@ -4,11 +4,12 @@ The compiled engine (:mod:`repro.avr.compiled`) retires code in
 *superblocks* — maximal straight-line runs starting at a block head —
 and pays the per-instruction retire preamble (pending-interrupt check,
 flash-generation compare, code-limit check) once per block instead of
-once per instruction.  This module holds the fusion rules both of its
-tiers share, and :func:`fuse`, which turns a head address into a
+once per instruction.  This module holds the fusion rules of its two
+tiers and :func:`fuse`, which turns a head address into a
 :class:`Superblock`.
 
-Fusion rules (a block's last instruction is its *terminator*):
+Cold-tier rule (:func:`is_terminator`; a run's last instruction is its
+*terminator*):
 
 * control flow (``rjmp``/``rcall``/``jmp``/``call``/``ijmp``/``icall``/
   ``ret``/``reti``, conditional branches, and the skip instructions
@@ -17,20 +18,33 @@ Fusion rules (a block's last instruction is its *terminator*):
 * anything that can reach a data-space **write hook** (``st*``/``sts``/
   ``std``, ``out``, ``sbi``, ``cbi``, ``push``) — write hooks are how
   peripherals timestamp events against ``cpu.cycles``, request
-  interrupts, and how SPM-style self-writes reach flash, so they must
-  only run at a point where the architectural counters are exact;
+  interrupts, and how SPM-style self-writes reach flash, so the cold
+  tier runs them only where its deferred counters are written back;
 * ``sei`` (``bset`` of the I flag) — the one non-terminator way the
   global interrupt enable could turn on mid-block;
 * ``break``/``sleep``; and
 * a fixed fuse cap (:data:`FUSE_CAP`) as a backstop.
 
+Hot-tier rule (:func:`ends_hot_block`, used by :func:`fuse`): the same,
+except that ``sts k``, ``out a`` and ``push`` fuse through.  A compiled
+body runs them as a plain byte store behind a run-time guard that no
+hook sits on the address (and, for ``push``, that the byte lies in
+``[0x60, 0x2200)``).  When the guard fails, the body calls the
+handler's own method with exact counters and leaves right after that
+instruction.  What still ends a hot block: ``sts`` to a register
+(``k < 0x20``), to SREG (``0x5F``) or out of range (``k >= 0x2200``);
+``out`` to SREG; ``st*``/``std*``; ``sbi``/``cbi``; control flow; ``sei``;
+``break``/``sleep``; and :data:`FUSE_CAP`.
+
 Interrupt-latency model: interrupts latch at any time but are serviced
 only at block boundaries, which bounds service latency at ``FUSE_CAP``
-instructions.  In practice the terminator set makes the latency *exact*:
-``(pending and SREG.I)`` cannot become true mid-block, because every
-instruction that can set I or request an interrupt (via a write hook)
-ends its block — so the next boundary is exactly where a per-instruction
-engine would have serviced it.
+instructions.  In practice the rules make the latency *exact*:
+``(pending and SREG.I)`` cannot become true mid-block.  In a cold run,
+every instruction that can set I or reach a write hook ends the run.  In
+a hot block, every instruction that can set I ends the block, and an
+instruction that reaches any data-space hook ends the body's execution
+right after it at run time.  So the next boundary is exactly where a
+per-instruction engine would have serviced the interrupt.
 
 Invariants:
 
@@ -40,7 +54,9 @@ Invariants:
 * blocks are keyed by their **entry word address**: jumping into the
   second word of a ``call`` (the misaligned-execution property the ROP
   gadget finder exploits) starts a *new* block fused from that address,
-  never a reuse of the aligned one.
+  never a reuse of the aligned one;
+* a cold run from a head retires a prefix of the hot block fused at that
+  head (the hot rule only ever fuses further).
 """
 
 from __future__ import annotations
@@ -50,6 +66,8 @@ from typing import Callable, List, Optional, Tuple
 from ..errors import IllegalExecutionError
 from .engine import Handler
 from .insn import CONTROL_FLOW, Instruction, Mnemonic
+from .iospace import SREG_DATA, SREG_IO
+from .memory import DATA_SPACE_SIZE, REGISTER_FILE_SIZE
 
 # Fixed fusion cap: backstop for pathological straight-line runs, and the
 # documented upper bound of the interrupt-service latency model.
@@ -71,17 +89,49 @@ TERMINATORS = frozenset(
     CONTROL_FLOW | WRITE_CAPABLE | {Mnemonic.BREAK, Mnemonic.SLEEP}
 )
 
+# Every mnemonic whose handler reads the data space through
+# ``DataSpace.read`` and so can reach a read hook.  The cold tier writes
+# its deferred counters back before running one.
+READ_CAPABLE = frozenset(
+    {m for m in Mnemonic if m.value.startswith("ld") and m is not Mnemonic.LDI}
+    | {Mnemonic.IN, Mnemonic.POP}
+)
+
+# A third value of a decode entry's "ends" field: not a terminator, but a
+# load the cold tier must run at exact counters.
+SYNC = 2
+
 # One decoded flash word as the compiled engine caches it: (handler,
-# instruction, size in words, base cycle cost, ends a superblock).
-Decoded = Tuple[Handler, Instruction, int, int, bool]
+# instruction, size in words, base cycle cost, ends a cold run — True,
+# False, or :data:`SYNC` for a read-capable instruction).
+Decoded = Tuple[Handler, Instruction, int, int, int]
 
 
 def is_terminator(insn: Instruction) -> bool:
-    """Whether ``insn`` ends a superblock."""
+    """Whether ``insn`` ends a cold run (the cold-tier rule)."""
     mnemonic = insn.mnemonic
     return mnemonic in TERMINATORS or (
         mnemonic is Mnemonic.BSET and insn.b == _SREG_I_BIT
     )
+
+
+def ends_hot_block(insn: Instruction) -> bool:
+    """Whether ``insn`` ends a hot block (the hot-tier rule).
+
+    ``sts`` and ``out`` fuse through unless their constant target is a
+    register, SREG or out of range: those writes alias the body's
+    register and flag locals, can set I, or always fault.  ``push``
+    always fuses; its guard checks the dynamic address at run time.
+    """
+    mnemonic = insn.mnemonic
+    if mnemonic is Mnemonic.STS:
+        k = insn.k
+        return k < REGISTER_FILE_SIZE or k == SREG_DATA or k >= DATA_SPACE_SIZE
+    if mnemonic is Mnemonic.OUT:
+        return insn.a == SREG_IO
+    if mnemonic is Mnemonic.PUSH:
+        return False
+    return is_terminator(insn)
 
 
 class Superblock:
@@ -89,11 +139,11 @@ class Superblock:
 
     ``body`` holds every instruction but the terminator as bare
     ``(handler, insn)`` pairs.  ``body_meta`` mirrors ``body`` with
-    ``(next_pc, pc_bytes, cycles_before)`` per slot; it reconstructs exact
-    per-instruction state when a body instruction faults, and the block
-    profiler's per-PC weights.  The terminator is kept unpacked in
-    ``last_*`` fields because it is the only instruction that needs PC
-    set before it runs.
+    ``(next_pc, pc_bytes, cycles_before)`` per slot; it drives the exact
+    counters of a body's guard-failure exits, reconstructs exact
+    per-instruction state when a body instruction faults, and gives the
+    block profiler its per-PC weights.  The terminator is kept unpacked
+    in ``last_*`` fields because it always runs with PC set.
     """
 
     __slots__ = (
@@ -133,9 +183,10 @@ class Superblock:
 def fuse(
     start_pc: int, fetch: Callable[[int], Decoded], limit: Optional[int]
 ) -> Superblock:
-    """Fuse the superblock that begins at ``start_pc``.
+    """Fuse the hot-tier superblock that begins at ``start_pc``.
 
-    ``fetch`` returns the decoded entry at a word address.  The first
+    Fusion stops after the first instruction :func:`ends_hot_block`
+    accepts, or at :data:`FUSE_CAP`.  ``fetch`` returns the decoded entry at a word address.  The first
     entry's decode errors propagate — they are exactly what per-
     instruction execution would raise at this PC.  Errors on *later*
     words, or reaching the image ``limit`` (bytes), just stop fusion: the
@@ -156,6 +207,6 @@ def fuse(
             entry = fetch(pc)
         entries.append((pc, entry))
         pc += entry[2]
-        if entry[4] or len(entries) >= FUSE_CAP:
+        if ends_hot_block(entry[1]) or len(entries) >= FUSE_CAP:
             break
     return Superblock(start_pc, entries)

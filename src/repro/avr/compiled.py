@@ -8,26 +8,29 @@ and runs each block head in one of two tiers:
 * **Cold tier.**  A head entered fewer than
   :attr:`CompiledEngine.WARM_THRESHOLD` times in the current flash
   generation retires through the per-instruction loop over the decode
-  cache, up to the next terminator (or :data:`~repro.avr.blocks.FUSE_CAP`
-  instructions) — no fusion, no codegen.  Code that runs a handful of
-  times per generation (boot paths, reflash storms) never pays for more.
+  cache, up to the next cold-tier terminator (or
+  :data:`~repro.avr.blocks.FUSE_CAP` instructions) — no fusion, no
+  codegen.  Code that runs a handful of times per generation (boot
+  paths, reflash storms) never pays for more.
 * **Hot tier.**  A head that reaches the threshold is fused into a
-  :class:`~repro.avr.blocks.Superblock` and bound to a compiled *body*:
-  Python source generated for the block (below) and ``exec``-ed into one
-  callable.
+  :class:`~repro.avr.blocks.Superblock` under the hot-tier rule (which
+  fuses through unhooked ``sts``/``out``/``push``) and bound to a
+  compiled *body*: Python source generated for the block (below) and
+  ``exec``-ed into one callable.
 
 Two process-wide, bounded caches make the tiers cheap across flash
 generations, boards and scenarios:
 
 * **Body cache** (:data:`BODY_CACHE`), keyed by the block's flash
-  *bytes*.  Bodies are position-independent — PC constants are emitted
-  relative to the entry ``pc`` argument, and the register file and SREG
-  are passed on every call — so a body's source is a pure function of
-  its key bytes (absolute ``jmp``/``call`` targets are part of them).
-  MAVR moves every function on every re-randomization, so a key that
-  included the entry address would miss on nearly every generation; the
-  bytes alone keep hitting, and one body serves every layout, every
-  generation and every core in the process.
+  *bytes* — for a ``call``/``jmp`` terminator, the bytes before it plus
+  its mnemonic.  Bodies are position-independent: PC constants are
+  emitted relative to the entry ``pc`` argument, a ``call``/``jmp``
+  target is the ``tgt`` argument, and the register file and SREG are
+  passed on every call.  So a body's source is a pure function of its
+  key.  MAVR moves every function on every re-randomization, so a key
+  that included the entry address or an absolute target would miss on
+  nearly every generation; this key keeps hitting, and one body serves
+  every layout, every generation and every core in the process.
 * **Decode memo** (:data:`DECODE_MEMO`), keyed by ``(word, next_word)``:
   re-decoding moved code after a reflash is a lookup, not a decode.
 
@@ -36,30 +39,41 @@ Specialization rules of a compiled body:
 * **Registers as locals.**  General registers are memory-mapped plain
   bytes (``DataSpace._bytes[0..31]``, no hooks), so inside a block they
   are loaded lazily into locals and written back (dirty ones only) at
-  the block's end — or before any instruction that could observe or
-  mutate the register file out-of-line (a *callout*, below).
+  the block's end — or before anything that could observe them.
 * **Flags as locals.**  SREG flags live in 0/1-valued locals with the
   exact :mod:`repro.avr.alu` formulas inlined.  A backward liveness pass
   over the block elides every flag computation that a later instruction
-  overwrites before any possible read (callouts and the terminator
-  conservatively read everything; S forces N and V because S = N xor V).
-* **Callouts.**  Instructions whose handlers can fault, reach a data-
-  space read hook, or touch non-register state (``lds``, ``ld``/``ldd``,
-  ``pop``, ``in``, ``lpm``) are bracketed by a flush of every dirty local
-  before and a full reload after, and call either their ``HANDLERS``
-  entry or — for the commonest (:data:`CALLOUT_TEMPLATES`) — the very
-  core method that handler calls, operands folded; partial-effect and
-  fault semantics are the handlers', byte for byte.  Stores and control
-  flow never appear in a body (they terminate blocks).
+  overwrites before any possible read (data-space accesses, callouts
+  and the terminator conservatively read everything; S forces N and V
+  because S = N xor V).
+* **Guarded data-space access.**  ``sts``/``lds``, ``out``/``in``,
+  ``push``/``pop`` and ``ld``/``ldd`` index the data-space bytes
+  directly when ``DataSpace.read``/``write`` would do exactly that: the
+  address is no register or SREG, lies in the data space and has no
+  hook (dynamic addresses must lie in ``[0x60, 0x2200)``).  Hook tables
+  are tested at run time, never baked into a body.  When a guard fails
+  the body writes its dirty locals back, sets PC, cycles and the retire
+  count to the interpreter's values, calls the method the handler
+  calls, and returns after that one instruction — so every data-space
+  hook runs at exact counters and at a block boundary.
+* **Callouts.**  ``lpm``, and ``lds`` beyond the data space, call their
+  ``HANDLERS`` entry in line, bracketed by a flush of every dirty local
+  before and a full reload after; fault semantics are the handlers',
+  byte for byte.  Control flow, the other stores, ``sei``,
+  ``break`` and ``sleep`` end the body as its terminator.
 * **Terminators.**  ``rjmp``/``jmp``/``ijmp``/conditional branches/
   ``sei``/``sleep`` are inlined with the final PC and the whole block's
-  cycle/instruction accounting folded into constants; everything else
-  (calls, returns, stores, skips, ``break``) runs at a point where the
-  architectural counters are exact, through the core methods of
-  :data:`TERMINATOR_TEMPLATES` or else its handler.
+  cycle/instruction accounting folded into constants; ``call``/``rcall``/
+  ``ret`` move their 3-byte frame in line behind the stack guard; all
+  other terminators (and failed frame guards) run at exact counters
+  through the core method their handler calls, or else the handler.
 
-Correctness envelope (pinned by the interpreter-vs-compiled lockstep and
-end-state tests at the default threshold, all-hot and all-cold):
+A body returns the number of instructions it retired: the block's count,
+or fewer when a guard failed.
+
+Correctness envelope (pinned by the interpreter-vs-compiled lockstep,
+differential and end-state tests at the default threshold, all-hot and
+all-cold):
 
 * the decode cache, head counts and fused blocks are dropped on every
   ``FlashMemory.generation`` change, so a reflash or SPM self-write can
@@ -87,18 +101,28 @@ from ..errors import (
     IllegalExecutionError,
     MemoryAccessError,
 )
-from .blocks import FUSE_CAP, Decoded, Superblock, fuse, is_terminator
+from .blocks import (
+    FUSE_CAP,
+    READ_CAPABLE,
+    SYNC,
+    Decoded,
+    Superblock,
+    fuse,
+    is_terminator,
+)
 from .decoder import decode, needs_second_word
 from .engine import (
     CYCLES_BY_MNEMONIC,
     HANDLERS,
     Entry,
     Halt,
+    Handler,
     _out_of_image_error,
     retire_preamble,
 )
-from .insn import Instruction, Mnemonic
-from .iospace import IO_TO_DATA_OFFSET, SREG_IO
+from .insn import POINTER_MODES, Instruction, Mnemonic
+from .iospace import IO_TO_DATA_OFFSET, SPH_DATA, SPL_DATA, SREG_DATA
+from .memory import DATA_SPACE_SIZE, EXT_IO_BASE, REGISTER_FILE_SIZE
 
 _SREG_I_BIT = 7
 
@@ -195,6 +219,17 @@ class _Gen:
         self._dirty_regs: set = set()
         self._loaded_flags: set = set()
         self._dirty_flags: set = set()
+        self._hook_locals: set = set()
+        # names the exec-ed source refers to (handlers, instructions)
+        self.ns: Dict[str, object] = {
+            "_MAE": MemoryAccessError,
+            "_CBF": CompiledBodyFault,
+        }
+        self.needs_try = False
+        # the slot being emitted (the terminator is slot count - 1):
+        # (index, fall-through offset from the head, cycles before it,
+        # its base cycles), set by the generator
+        self.slot: Tuple[int, int, int, int] = (0, 0, 0, 0)
 
     def raw(self, line: str) -> None:
         self.lines.append(line)
@@ -233,17 +268,21 @@ class _Gen:
 
     # synchronization ----------------------------------------------------
 
+    def _writeback(self) -> List[str]:
+        """Source that stores every dirty local back (state unchanged)."""
+        lines = [f"buf[{index}] = r{index}" for index in sorted(self._dirty_regs)]
+        # 0/1 ints are architecturally equivalent to the bools the
+        # handlers store: every consumer packs via `byte` (shifts) or
+        # compares with ==, and 1 == True in Python.
+        lines.extend(
+            f"s.{name} = f{name}" for name in _FLAG_ATTR if name in self._dirty_flags
+        )
+        return lines
+
     def flush(self) -> None:
         """Write every dirty local back to the architectural machine."""
-        for index in sorted(self._dirty_regs):
-            self.raw(f"buf[{index}] = r{index}")
+        self.lines.extend(self._writeback())
         self._dirty_regs.clear()
-        for name in _FLAG_ATTR:
-            if name in self._dirty_flags:
-                # 0/1 ints are architecturally equivalent to the bools the
-                # handlers store: every consumer packs via `byte` (shifts)
-                # or compares with ==, and 1 == True in Python.
-                self.raw(f"s.{name} = f{name}")
         self._dirty_flags.clear()
 
     def invalidate(self) -> None:
@@ -252,6 +291,70 @@ class _Gen:
         self._dirty_regs.clear()
         self._loaded_flags.clear()
         self._dirty_flags.clear()
+
+    # guarded data-space access --------------------------------------------
+
+    def hooks(self, table: str) -> str:
+        """The local bound to the data space's write or read hook table.
+
+        Hook tables are plain dicts that may change between runs, so the
+        body looks them up on every call; nothing a body runs before it
+        leaves can change them.
+        """
+        name = "wh" if table == "write" else "rh"
+        if name not in self._hook_locals:
+            self.raw(f"{name} = cpu.data._{table}_hooks")
+            self._hook_locals.add(name)
+        return name
+
+    def handler_call(self, handler: Handler, insn: Instruction) -> str:
+        """Source calling the slot's own handler."""
+        index = self.slot[0]
+        self.ns[f"_h{index}"] = handler
+        self.ns[f"_i{index}"] = insn
+        return f"_h{index}(cpu, _i{index})"
+
+    def exit_lines(self, calls: List[str]) -> List[str]:
+        """Run ``calls`` as the current slot at exact counters, then return.
+
+        PC, cycles and the retire count become what the interpreter has
+        when it runs that instruction; a fault in ``calls`` is already
+        settled (``_fi < 0``) and translates to the same ``CpuFault``.
+        """
+        index, next_off, cycles_before, base = self.slot
+        self.needs_try = True
+        lines = [f"cpu.pc = {_pc_at(next_off)}"]
+        if cycles_before:
+            lines.append(f"cpu.cycles += {cycles_before}")
+        if index:
+            lines.append(f"cpu.instructions_retired += {index}")
+        lines.append(f"_fi = {-1 - index}")
+        lines += calls
+        lines += [
+            f"cpu.cycles += {base}",
+            "cpu.instructions_retired += 1",
+            f"return {index + 1}",
+        ]
+        return lines
+
+    def guard(self, fail: str, call: str) -> None:
+        """If ``fail`` holds, leave through ``call`` after this slot."""
+        self.raw(f"if {fail}:")
+        for line in self._writeback() + self.exit_lines([call]):
+            self.raw("    " + line)
+
+    def callout(self, handler: Handler, insn: Instruction) -> None:
+        """Run the slot's handler in line: flush, call, reload everything.
+
+        Only for handlers that reach no data-space hook (``lpm``) or that
+        always fault (``lds`` beyond the data space): a fault rebuilds
+        the slot's counters from ``_fi``.
+        """
+        self.needs_try = True
+        self.flush()
+        self.raw(f"_fi = {self.slot[0]}")
+        self.raw(self.handler_call(handler, insn))
+        self.invalidate()
 
 
 # Each emitter appends the specialized source for one instruction.
@@ -581,11 +684,9 @@ def _e_bclr(g, insn, live):
 
 
 # The per-mnemonic source-template table — the codegen twin of
-# ``engine.HANDLERS``.  A body mnemonic absent from this table executes
-# as a callout through its HANDLERS entry (flush / call / invalidate):
-# exactly the loads and I/O reads whose hook and fault semantics must
-# stay the handlers' own.  Stores, control flow, break and sleep never
-# appear in a block body (they are terminators).
+# ``engine.HANDLERS`` for instructions that touch only registers and
+# flags.  Data-space accesses use the guarded templates below; any other
+# body mnemonic (``lpm``) is a callout through its HANDLERS entry.
 SOURCE_TEMPLATES: Dict[Mnemonic, Emitter] = {
     Mnemonic.NOP: _e_nop,
     Mnemonic.WDR: _e_nop,
@@ -632,83 +733,163 @@ if _orphans:  # pragma: no cover - import-time consistency check
     raise RuntimeError(f"source templates without handlers: {_orphans}")
 
 
-# -- specialized calls ------------------------------------------------------
+# -- guarded data-space access ----------------------------------------------
 #
-# The commonest callouts and handler-call terminators call the very core
-# methods their HANDLERS entry calls (``DataSpace.read``/``write``, the
-# stack helpers) with the operands folded in, instead of going through
-# the handler and its operand decoding.  Every access still goes through
-# those methods, in the handler's order, so hooks and faults behave
-# exactly as the handler's; the flush before and the reload after a
-# callout are unchanged.
+# A body accesses the data space as a plain byte of ``buf`` only when
+# ``DataSpace.read``/``write`` would do exactly that: the address is not a
+# register or SREG (those alias the body's locals), lies inside the data
+# space, and carries no hook.  Constant addresses are screened when the
+# body is generated and checked against the hook table at run time;
+# dynamic ones (the stack, ``ld``/``ldd`` pointers) must lie in
+# ``[_LO, _HI)``, which also keeps SPL/SPH out of the bytes a stack
+# access touches.  When a guard fails the body leaves through
+# :meth:`_Gen.guard`: dirty locals written back, exact counters, the
+# method the handler calls, and a return after that one instruction.
+
+_LO = EXT_IO_BASE
+_HI = DATA_SPACE_SIZE
+_SP = f"buf[{SPL_DATA}] | (buf[{SPH_DATA}] << 8)"
 
 
-def _c_lds(g: _Gen, insn: Instruction) -> None:
-    g.invalidate()  # the read may reach a hook: reload everything after it
-    g.assign(insn.rd, f"cpu.data.read({insn.k})")
+def _outside(expr: str, low: int = _LO, high: int = _HI) -> str:
+    return f"{expr} < {low} or {expr} >= {high}"
 
 
-def _c_in(g: _Gen, insn: Instruction) -> None:
-    if insn.a == SREG_IO:
-        source = "s.byte"
-    else:
-        source = f"cpu.data.read({insn.a + IO_TO_DATA_OFFSET})"
-    g.invalidate()
+def _g_sts(g: _Gen, insn: Instruction, handler: Handler) -> None:
+    value = g.reg(insn.rr)
+    wh = g.hooks("write")
+    g.guard(f"{insn.k} in {wh}", f"cpu.data.write({insn.k}, {value})")
+    g.raw(f"buf[{insn.k}] = {value}")
+
+
+def _g_out(g: _Gen, insn: Instruction, handler: Handler) -> None:
+    address = insn.a + IO_TO_DATA_OFFSET  # never SREG: `out SREG` ends blocks
+    value = g.reg(insn.rr)
+    wh = g.hooks("write")
+    g.guard(f"{address} in {wh}", f"cpu.data.write({address}, {value})")
+    g.raw(f"buf[{address}] = {value}")
+
+
+def _g_push(g: _Gen, insn: Instruction, handler: Handler) -> None:
+    value = g.reg(insn.rr)
+    wh = g.hooks("write")
+    g.raw(f"_a = {_SP}")
+    g.guard(f"{_outside('_a')} or _a in {wh}", f"cpu.push_byte({value})")
+    g.raw(f"buf[_a] = {value}")
+    g.raw("_a -= 1")
+    g.raw(f"buf[{SPL_DATA}] = _a & 255")
+    g.raw(f"buf[{SPH_DATA}] = _a >> 8")
+
+
+def _g_pop(g: _Gen, insn: Instruction, handler: Handler) -> None:
+    rh = g.hooks("read")
+    g.raw(f"_a = ({_SP}) + 1")
+    g.guard(f"{_outside('_a')} or _a in {rh}", f"buf[{insn.rd}] = cpu.pop_byte()")
+    g.raw(f"buf[{SPL_DATA}] = _a & 255")
+    g.raw(f"buf[{SPH_DATA}] = _a >> 8")
+    g.assign(insn.rd, "buf[_a]")
+
+
+def _load_constant(g: _Gen, insn: Instruction, address: int) -> None:
+    """``rd`` = the data byte at a constant ``address`` (lds, in)."""
+    if address == SREG_DATA:  # SREG never reaches a hook
+        g.flush()
+        g.assign(insn.rd, "s.byte")
+        return
+    source = g.reg(address) if address < REGISTER_FILE_SIZE else f"buf[{address}]"
+    rh = g.hooks("read")
+    g.guard(f"{address} in {rh}", f"buf[{insn.rd}] = cpu.data.read({address})")
     g.assign(insn.rd, source)
 
 
-def _c_pop(g: _Gen, insn: Instruction) -> None:
-    g.invalidate()
-    g.assign(insn.rd, "cpu.pop_byte()")
-
-
-CALLOUT_TEMPLATES: Dict[Mnemonic, Callable[[_Gen, Instruction], None]] = {
-    Mnemonic.LDS: _c_lds,
-    Mnemonic.IN: _c_in,
-    Mnemonic.POP: _c_pop,
-}
-
-
-# Terminator emitters run after the flush, with the block's body cycles
-# added and ``cpu.pc`` already at the fall-through ``pc + fall_through``.
-def _t_sts(g: _Gen, insn: Instruction, fall_through: int) -> None:
-    g.raw(f"cpu.data.write({insn.k}, {g.reg(insn.rr)})")
-
-
-def _t_out(g: _Gen, insn: Instruction, fall_through: int) -> None:
-    value = g.reg(insn.rr)
-    if insn.a == SREG_IO:
-        g.raw(f"s.byte = {value}")
+def _g_lds(g: _Gen, insn: Instruction, handler: Handler) -> None:
+    if insn.k >= DATA_SPACE_SIZE:
+        g.callout(handler, insn)  # always faults, exactly as the handler
     else:
-        g.raw(f"cpu.data.write({insn.a + IO_TO_DATA_OFFSET}, {value})")
+        _load_constant(g, insn, insn.k)
 
 
-def _t_push(g: _Gen, insn: Instruction, fall_through: int) -> None:
-    g.raw(f"cpu.push_byte({g.reg(insn.rr)})")
+def _g_in(g: _Gen, insn: Instruction, handler: Handler) -> None:
+    _load_constant(g, insn, insn.a + IO_TO_DATA_OFFSET)
 
 
-def _t_call(g: _Gen, insn: Instruction, fall_through: int) -> None:
-    g.raw(f"cpu.push_return_address({_pc_at(fall_through)})")
-    g.raw(f"cpu.pc = {insn.k}")
+def _g_ld(g: _Gen, insn: Instruction, handler: Handler) -> None:
+    """``ld``/``ldd`` through X, Y or Z, pointer updates included."""
+    pointer, pre_dec, post_inc, disp = POINTER_MODES[insn.mnemonic]
+    address = f"{g.reg(pointer)} | ({g.reg(pointer + 1)} << 8)"
+    if disp and insn.q:
+        address = f"(({address}) + {insn.q}) & 65535"
+    elif pre_dec:
+        address = f"(({address}) - 1) & 65535"
+    g.raw(f"_a = {address}")
+    rh = g.hooks("read")
+    g.guard(f"{_outside('_a')} or _a in {rh}", g.handler_call(handler, insn))
+    # the handler's write order: pre-decremented pointer, the loaded
+    # register, post-incremented pointer (a later write wins an overlap)
+    if pre_dec:
+        g.assign(pointer, "_a & 255")
+        g.assign(pointer + 1, "_a >> 8")
+    g.assign(insn.rd, "buf[_a]")
+    if post_inc:
+        g.assign(pointer, "(_a + 1) & 255")
+        g.assign(pointer + 1, "(_a + 1) >> 8")
 
 
-def _t_rcall(g: _Gen, insn: Instruction, fall_through: int) -> None:
-    g.raw(f"cpu.push_return_address({_pc_at(fall_through)})")
-    g.raw(f"cpu.pc = {_pc_at(fall_through + insn.k)}")
-
-
-def _t_ret(g: _Gen, insn: Instruction, fall_through: int) -> None:
-    g.raw("cpu.pc = cpu.pop_return_address()")
-
-
-TERMINATOR_TEMPLATES: Dict[Mnemonic, Callable[[_Gen, Instruction, int], None]] = {
-    Mnemonic.STS: _t_sts,
-    Mnemonic.OUT: _t_out,
-    Mnemonic.PUSH: _t_push,
-    Mnemonic.CALL: _t_call,
-    Mnemonic.RCALL: _t_rcall,
-    Mnemonic.RET: _t_ret,
+GUARDED_TEMPLATES: Dict[Mnemonic, Callable[[_Gen, Instruction, Handler], None]] = {
+    Mnemonic.STS: _g_sts,
+    Mnemonic.OUT: _g_out,
+    Mnemonic.PUSH: _g_push,
+    Mnemonic.POP: _g_pop,
+    Mnemonic.LDS: _g_lds,
+    Mnemonic.IN: _g_in,
+    **{m: _g_ld for m in POINTER_MODES if m.value.startswith("ld")},
 }
+
+
+# ``call``/``rcall``/``ret`` terminators move their 3-byte frame in line
+# when every byte passes the stack guard (``_a`` holds SP), and otherwise
+# run the very core method their handler calls, at exact counters.
+
+
+def _call_frame(g: _Gen, target: str, fall_through: int):
+    """``(guard failure, slow, fast)`` source of a return-address push
+    followed by ``cpu.pc = target``."""
+    wh = g.hooks("write")
+    ret = _pc_at(fall_through)
+    fail = (
+        f"{_outside('_a', _LO + 2)} or _a in {wh} or _a - 1 in {wh} "
+        f"or _a - 2 in {wh}"
+    )
+    slow = [f"cpu.push_return_address({ret})", f"cpu.pc = {target}"]
+    fast = [
+        f"_r = {ret}",
+        "buf[_a] = _r & 255",
+        "buf[_a - 1] = (_r >> 8) & 255",
+        "buf[_a - 2] = (_r >> 16) & 255",
+        "_a -= 3",
+        f"buf[{SPL_DATA}] = _a & 255",
+        f"buf[{SPH_DATA}] = _a >> 8",
+        f"cpu.pc = {target}",
+    ]
+    return fail, slow, fast
+
+
+def _ret_frame(g: _Gen):
+    """``(guard failure, slow, fast)`` source of a return-address pop into
+    ``cpu.pc``."""
+    rh = g.hooks("read")
+    fail = (
+        f"{_outside('_a', _LO - 1, _HI - 3)} or _a + 1 in {rh} "
+        f"or _a + 2 in {rh} or _a + 3 in {rh}"
+    )
+    slow = ["cpu.pc = cpu.pop_return_address()"]
+    fast = [
+        "_a += 3",
+        f"buf[{SPL_DATA}] = _a & 255",
+        f"buf[{SPH_DATA}] = _a >> 8",
+        "cpu.pc = (buf[_a - 2] << 16) | (buf[_a - 1] << 8) | buf[_a]",
+    ]
+    return fail, slow, fast
 
 
 # Terminators folded inline (final PC and accounting become constants).
@@ -722,6 +903,10 @@ _INLINE_TERMINATORS = frozenset(
         Mnemonic.SLEEP,
     }
 )
+
+# Terminators whose absolute target the body takes as its ``tgt``
+# argument, so the body cache key leaves the target out.
+TARGET_ARGUMENT = frozenset({Mnemonic.CALL, Mnemonic.JMP})
 
 
 def _terminator_flag_rw(insn: Instruction) -> Tuple[FrozenSet[str], FrozenSet[str]]:
@@ -747,25 +932,31 @@ def _pc_at(offset: int) -> str:
 def compile_superblock(block: Superblock):
     """Generate, compile and exec one position-independent block body.
 
-    Returns ``(fn, source)``.  ``fn(cpu, buf, s, pc)`` performs the whole
+    Returns ``(fn, source)``.  ``fn(cpu, buf, s, pc, tgt)`` performs the
     retire sequence for the block entered at word address ``pc``, with
-    ``buf`` the core's data-space bytes and ``s`` its SREG: body,
-    ``body_cycles``, PC to the terminator's fall-through, terminator,
-    ``last_base_cycles``, ``instructions_retired``.  Callout faults
+    ``buf`` the core's data-space bytes, ``s`` its SREG and ``tgt`` the
+    absolute target of a ``call``/``jmp`` terminator (unused otherwise),
+    and returns the number of instructions it retired: ``block.count``,
+    or ``j + 1`` when a guard fails at body slot ``j``.  PC, cycles and
+    ``instructions_retired`` are exact on every return.  Callout faults
     surface as :class:`CompiledBodyFault` for the engine to translate.
 
-    Every PC the body writes is ``pc`` plus a constant (or an absolute
-    ``jmp`` target decoded from the block's own bytes), so the source
-    depends only on the block's instruction bytes: one body serves the
-    same bytes at any address, on any core.
+    Every PC the body writes is ``pc`` plus a constant, ``tgt``, or read
+    from the machine, so the source depends only on the block's bytes
+    (the ``call``/``jmp`` target aside): one body serves the same bytes
+    at any address, on any core, in any layout.
     """
     body = block.body
+    meta = block.body_meta
     terminator = block.last_insn
     count = block.count
-    fall_through = block.last_next_pc - block.start
+    start = block.start
+    fall_through = block.last_next_pc - start
 
     # Backward flag-liveness: start from "everything live" (the next
     # block reads anything), through the terminator, then the body.
+    # Callouts and guarded slots may leave or expose the machine, so
+    # every flag is live before them.
     term_reads, term_writes = _terminator_flag_rw(terminator)
     live = (_ALL_FLAGS - term_writes) | term_reads
     live_sets: List[FrozenSet[str]] = [frozenset()] * len(body)
@@ -773,55 +964,50 @@ def compile_superblock(block: Superblock):
         insn = body[j][1]
         if insn.mnemonic not in SOURCE_TEMPLATES:
             live_sets[j] = _ALL_FLAGS
-            live = _ALL_FLAGS  # a callout may read any flag
+            live = _ALL_FLAGS
         else:
             reads, writes = _flag_rw(insn)
             live_sets[j] = live
             live = (live - writes) | reads
 
     g = _Gen()
-    ns: Dict[str, object] = {
-        "_MAE": MemoryAccessError,
-        "_CBF": CompiledBodyFault,
-    }
-    has_callout = False
     for j, (handler, insn) in enumerate(body):
-        emitter = SOURCE_TEMPLATES.get(insn.mnemonic)
-        if emitter is None:
-            has_callout = True
-            g.flush()
-            g.raw(f"_fi = {j}")
-            special = CALLOUT_TEMPLATES.get(insn.mnemonic)
-            if special is not None:
-                special(g, insn)
-            else:
-                ns[f"_h{j}"] = handler
-                ns[f"_i{j}"] = insn
-                g.raw(f"_h{j}(cpu, _i{j})")
-                g.invalidate()
-        else:
+        mnemonic = insn.mnemonic
+        next_pc, _, cycles_before = meta[j]
+        g.slot = (j, next_pc - start, cycles_before, CYCLES_BY_MNEMONIC[mnemonic])
+        emitter = SOURCE_TEMPLATES.get(mnemonic)
+        if emitter is not None:
             slot_live = live_sets[j]
             if "s" in slot_live:
                 slot_live = slot_live | frozenset("nv")
             emitter(g, insn, slot_live)
+            continue
+        guarded = GUARDED_TEMPLATES.get(mnemonic)
+        if guarded is not None:
+            guarded(g, insn, handler)
+        else:
+            g.callout(handler, insn)
 
     g.flush()
     mnemonic = terminator.mnemonic
     total_cycles = block.body_cycles + block.last_base_cycles
+    g.slot = (count - 1, fall_through, block.body_cycles, block.last_base_cycles)
     inline_term = (
         mnemonic in _INLINE_TERMINATORS
         or (mnemonic is Mnemonic.BSET and terminator.b == _SREG_I_BIT)
     )
+    done = [
+        f"cpu.cycles += {total_cycles}",
+        f"cpu.instructions_retired += {count}",
+        f"return {count}",
+    ]
     if inline_term:
         if mnemonic is Mnemonic.RJMP:
             g.raw(f"cpu.pc = {_pc_at(fall_through + terminator.k)}")
-            g.raw(f"cpu.cycles += {total_cycles}")
         elif mnemonic is Mnemonic.JMP:
-            g.raw(f"cpu.pc = {terminator.k}")
-            g.raw(f"cpu.cycles += {total_cycles}")
+            g.raw("cpu.pc = tgt")
         elif mnemonic is Mnemonic.IJMP:
             g.raw("cpu.pc = buf[30] | (buf[31] << 8)")
-            g.raw(f"cpu.cycles += {total_cycles}")
         elif mnemonic is Mnemonic.BRBS or mnemonic is Mnemonic.BRBC:
             cond = f"s.{_FLAG_ATTR[terminator.b]}"
             if mnemonic is Mnemonic.BRBC:
@@ -829,35 +1015,35 @@ def compile_superblock(block: Superblock):
             g.raw(f"if {cond}:")
             g.raw(f"    cpu.pc = {_pc_at(fall_through + terminator.k)}")
             g.raw(f"    cpu.cycles += {total_cycles + 1}")  # taken: +1 cycle
-            g.raw("else:")
-            g.raw(f"    cpu.pc = {_pc_at(fall_through)}")
-            g.raw(f"    cpu.cycles += {total_cycles}")
+            g.raw(f"    cpu.instructions_retired += {count}")
+            g.raw(f"    return {count}")
+            g.raw(f"cpu.pc = {_pc_at(fall_through)}")
         else:  # SLEEP (modeled as nop) or BSET of I (sei)
             if mnemonic is Mnemonic.BSET:
                 g.raw("s.i = True")
             g.raw(f"cpu.pc = {_pc_at(fall_through)}")
-            g.raw(f"cpu.cycles += {total_cycles}")
-        g.raw(f"cpu.instructions_retired += {count}")
-        has_term_call = False
-    else:
-        if block.body_cycles:
-            g.raw(f"cpu.cycles += {block.body_cycles}")
-        g.raw(f"cpu.pc = {_pc_at(fall_through)}")
-        g.raw("_fi = -1")
-        special = TERMINATOR_TEMPLATES.get(mnemonic)
-        if special is not None:
-            special(g, terminator, fall_through)
+        g.lines.extend(done)
+    elif mnemonic in (Mnemonic.CALL, Mnemonic.RCALL, Mnemonic.RET):
+        if mnemonic is Mnemonic.RET:
+            fail, slow, fast = _ret_frame(g)
         else:
-            ns["_ht"] = block.last_handler
-            ns["_it"] = terminator
-            g.raw("_ht(cpu, _it)")
-        g.raw(f"cpu.cycles += {block.last_base_cycles}")
-        g.raw(f"cpu.instructions_retired += {count}")
-        has_term_call = True
+            target = (
+                "tgt" if mnemonic is Mnemonic.CALL
+                else _pc_at(fall_through + terminator.k)
+            )
+            fail, slow, fast = _call_frame(g, target, fall_through)
+        g.raw(f"_a = {_SP}")
+        g.raw(f"if {fail}:")
+        for line in g.exit_lines(slow):
+            g.raw("    " + line)
+        g.lines.extend(fast + done)
+    else:
+        g.ns["_ht"] = block.last_handler
+        g.ns["_it"] = terminator
+        g.lines.extend(g.exit_lines(["_ht(cpu, _it)"]))
 
-    need_try = has_callout or has_term_call
-    out: List[str] = ["def _sb(cpu, buf, s, pc):"]
-    if need_try:
+    out: List[str] = ["def _sb(cpu, buf, s, pc, tgt):"]
+    if g.needs_try:
         out.append("    try:")
         out.extend("        " + line for line in g.lines)
         out.append("    except _MAE as exc:")
@@ -865,6 +1051,7 @@ def compile_superblock(block: Superblock):
     else:
         out.extend("    " + line for line in g.lines)
     source = "\n".join(out) + "\n"
+    ns = g.ns
     exec(compile(source, "<superblock>", "exec"), ns)
     return ns["_sb"], source
 
@@ -921,12 +1108,16 @@ def _decoded(word: int, next_word: Optional[int], byte_addr: int) -> Decoded:
                 f"undecodable opcode 0x{word:04x} at 0x{byte_addr:05x}"
             ) from exc
         mnemonic = insn.mnemonic
+        if is_terminator(insn):
+            ends = True
+        else:
+            ends = SYNC if mnemonic in READ_CAPABLE else False
         entry = (
             HANDLERS[mnemonic],
             insn,
             insn.size_words,
             CYCLES_BY_MNEMONIC[mnemonic],
-            is_terminator(insn),
+            ends,
         )
         DECODE_MEMO.put(key, entry)
     return entry
@@ -951,7 +1142,7 @@ class CompiledEngine:
         self._cache: List[Optional[Decoded]] = []  # decode entry per word
         self._heads: Dict[int, int] = {}  # head -> entries this generation
         self._blocks: Dict[int, Superblock] = {}  # fused heads
-        self._hot: Dict[int, tuple] = {}  # head -> (body, count, block)
+        self._hot: Dict[int, tuple] = {}  # head -> (body, count, block, target)
         # the image limit the fused blocks were cut at (they never cross it)
         self._limit: Optional[int] = None
         # telemetry accumulators, sampled pull-style at snapshot time.
@@ -967,9 +1158,10 @@ class CompiledEngine:
         self.compiled_entered = 0  # hot-tier body executions
         self.compile_times_ms: List[float] = []  # append-only build log
         # Block-granularity profiling sink (see repro.avr.profile): when
-        # set, a mutable mapping from Superblock to entry count that the
-        # run loop upserts inline once per retired block — a dict
-        # operation, not a Python call, so the fast path stays fast.
+        # set, a mutable mapping from Superblock to a list of run counts
+        # indexed by instructions retired, which the run loop upserts
+        # inline once per block run — a dict lookup, not a Python call,
+        # so the fast path stays fast.
         # While it is set, cold heads are fused (never compiled) so their
         # retirements are attributed too.
         self.profile_hook = None
@@ -1042,9 +1234,22 @@ class CompiledEngine:
         return block
 
     def _promote(self, pc: int) -> None:
-        """Fuse head ``pc`` and bind it to its body from the shared cache."""
+        """Fuse head ``pc`` and bind it to its body from the shared cache.
+
+        The key is the block's bytes; for a ``call``/``jmp`` terminator it
+        is the bytes before it plus its mnemonic, and the absolute target
+        rides along in ``_hot`` as the body's ``tgt`` argument, so a moved
+        callee does not cost a compile.
+        """
         block = self._fuse(pc)
-        key = self.cpu.flash.dump(pc * 2, (block.last_next_pc - pc) * 2)
+        flash = self.cpu.flash
+        last = block.last_insn
+        if last.mnemonic in TARGET_ARGUMENT:
+            key = (flash.dump(pc * 2, block.last_pc_bytes - pc * 2), last.mnemonic)
+            target = last.k
+        else:
+            key = flash.dump(pc * 2, (block.last_next_pc - pc) * 2)
+            target = None
         body = BODY_CACHE.get(key)
         if body is None:
             start = time.perf_counter()
@@ -1052,20 +1257,28 @@ class CompiledEngine:
             self.compile_times_ms.append((time.perf_counter() - start) * 1000.0)
             self.compiled_built += 1
             BODY_CACHE.put(key, body)
-        self._hot[pc] = (body, block.count, block)
+        self._hot[pc] = (body, block.count, block, target)
 
     def _raise_compiled_fault(self, block: Superblock, fault: CompiledBodyFault):
-        """Translate a callout fault into the exact per-instruction CpuFault.
+        """Translate a body fault into the exact per-instruction CpuFault.
 
         The slot comes from the body's ``_fi`` index, never from object
         identity: the decode memo shares ``Instruction`` objects, so two
-        identical slots in one block are the same object.
+        identical slots in one block are the same object.  ``_fi = j``
+        marks an in-line callout at slot ``j`` whose counters are still
+        deferred; ``_fi = -1 - j`` marks slot ``j`` (the terminator is
+        slot ``count - 1``) run at exact counters, as guard-failure exits
+        and terminators run.
         """
         cpu = self.cpu
         exc = fault.exc
-        if fault.index < 0:  # the terminator handler faulted
-            cpu.instructions_retired += block.count - 1
-            raise CpuFault(str(exc), block.last_pc_bytes, cpu.cycles) from exc
+        if fault.index < 0:
+            slot = -1 - fault.index
+            if slot < len(block.body):
+                pc_bytes = block.body_meta[slot][1]
+            else:
+                pc_bytes = block.last_pc_bytes
+            raise CpuFault(str(exc), pc_bytes, cpu.cycles) from exc
         next_pc, pc_bytes, cycles_before = block.body_meta[fault.index]
         cpu.pc = next_pc
         cpu.cycles += cycles_before
@@ -1156,21 +1369,25 @@ class CompiledEngine:
                 if hot is not None and limit == fused_limit:
                     # fused inside this very image limit, which implies the
                     # preamble's limit check
-                    body, count, block = hot
+                    body, count, block, target = hot
                     if count <= remaining:
                         try:
-                            body(cpu, buf, sreg, pc)
-                        except Halt:
+                            retired = body(cpu, buf, sreg, pc, target)
+                        except Halt:  # `break` terminator, at exact counters
                             cpu.halted = True
                             cpu.cycles += block.last_base_cycles
-                            cpu.instructions_retired += count
+                            cpu.instructions_retired += 1
+                            retired = count
                         except CompiledBodyFault as fault:
                             self._raise_compiled_fault(block, fault)
-                        remaining -= count
+                        remaining -= retired
                         entered += 1
                         if profile is not None:
                             # inline upsert: a method call per block is measurable
-                            profile[block] = profile.get(block, 0) + 1
+                            runs = profile.get(block)
+                            if runs is None:
+                                runs = profile[block] = [0] * (count + 1)
+                            runs[retired] += 1
                         continue
                 else:
                     if limit is not None and pc * 2 >= limit:
@@ -1189,17 +1406,20 @@ class CompiledEngine:
                 # retire per instruction up to the next terminator.  Inside
                 # the run nothing can make an interrupt serviceable or
                 # change flash (only terminators can), so PC, cycles and
-                # the retire count are written back only before the run's
-                # last instruction — or when something raises.
+                # the retire count are written back only before a load
+                # that can reach a read hook (restarting the run's
+                # accumulators), before the run's last instruction, or
+                # when something raises.
                 stop = remaining if remaining < FUSE_CAP else FUSE_CAP
                 block = None
                 if profile is not None:
-                    # attribute cold retirements to the head's fused extent
+                    # a cold run retires a prefix of the head's hot block
                     block = self._fuse(pc)
                     if block.count < stop:
                         stop = block.count
-                retired = 0
-                cycles = 0
+                retired = 0  # the run's length so far
+                settled = 0  # of which already added to instructions_retired
+                cycles = 0  # not yet added to cpu.cycles
                 while True:
                     entry = cache[pc] if 0 <= pc < cache_len else None
                     if entry is None:
@@ -1208,44 +1428,55 @@ class CompiledEngine:
                         except Exception:
                             cpu.pc = pc
                             cpu.cycles += cycles
-                            cpu.instructions_retired += retired
+                            cpu.instructions_retired += retired - settled
                             raise
                         if 0 <= pc < cache_len:
                             cache[pc] = entry
                     handler, insn, size, base, ends = entry
                     retired += 1
-                    if ends or retired == stop:
+                    if ends:
+                        if ends != SYNC or retired == stop:
+                            break
+                        cpu.pc = pc + size
+                        cpu.cycles += cycles
+                        cpu.instructions_retired += retired - 1 - settled
+                        settled = retired - 1
+                        cycles = 0
+                    elif retired == stop:
                         break
                     try:
                         handler(cpu, insn)
                     except MemoryAccessError as exc:
                         cpu.pc = pc + size
                         cpu.cycles += cycles
-                        cpu.instructions_retired += retired - 1
+                        cpu.instructions_retired += retired - 1 - settled
                         raise CpuFault(str(exc), pc * 2, cpu.cycles) from exc
                     cycles += base
                     pc += size
                     if limit is not None and pc * 2 >= limit:
                         cpu.pc = pc
                         cpu.cycles += cycles
-                        cpu.instructions_retired += retired
+                        cpu.instructions_retired += retired - settled
                         raise _out_of_image_error(pc * 2, limit)
                 # the run's last instruction sees exact counters
                 cpu.pc = pc + size
                 cpu.cycles += cycles
+                cpu.instructions_retired += retired - 1 - settled
                 try:
                     handler(cpu, insn)
                 except Halt:
                     cpu.halted = True
                 except MemoryAccessError as exc:
-                    cpu.instructions_retired += retired - 1
                     raise CpuFault(str(exc), pc * 2, cpu.cycles) from exc
                 cpu.cycles += base
-                cpu.instructions_retired += retired
+                cpu.instructions_retired += 1
                 remaining -= retired
                 cold_runs += 1
-                if block is not None and retired == block.count:
-                    profile[block] = profile.get(block, 0) + 1
+                if block is not None:
+                    runs = profile.get(block)
+                    if runs is None:
+                        runs = profile[block] = [0] * (block.count + 1)
+                    runs[retired] += 1
         finally:
             self.compiled_entered += entered
             self.blocks_entered += cold_runs

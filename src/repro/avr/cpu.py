@@ -31,7 +31,7 @@ from typing import Callable, List, Optional
 from ..errors import CpuFault, DecodeError, IllegalExecutionError, MemoryAccessError
 from .decoder import decode, needs_second_word
 from .engine import DEFAULT_ENGINE, Halt, create_engine, retire_preamble
-from .insn import Instruction, Mnemonic
+from .insn import POINTER_MODES, Instruction
 from .iospace import SPH_DATA, SPL_DATA
 from .memory import RAMEND, DataSpace, Eeprom, FlashMemory
 from .sreg import StatusRegister
@@ -272,7 +272,7 @@ class AvrCpu:
     def _load_store(self, insn: Instruction, load: bool) -> None:
         d = self.data
         m = insn.mnemonic
-        pointer_reg, pre_dec, post_inc, disp = _POINTER_MODES[m]
+        pointer_reg, pre_dec, post_inc, disp = POINTER_MODES[m]
         address = d.read_reg_pair(pointer_reg)
         if pre_dec:
             address = (address - 1) & 0xFFFF
@@ -285,25 +285,3 @@ class AvrCpu:
         if post_inc:
             d.write_reg_pair(pointer_reg, (address + 1) & 0xFFFF)
 
-
-# pointer register index, pre-decrement, post-increment, uses displacement
-_POINTER_MODES = {
-    Mnemonic.LD_X: (26, False, False, False),
-    Mnemonic.LD_X_INC: (26, False, True, False),
-    Mnemonic.LD_X_DEC: (26, True, False, False),
-    Mnemonic.LD_Y_INC: (28, False, True, False),
-    Mnemonic.LD_Y_DEC: (28, True, False, False),
-    Mnemonic.LD_Z_INC: (30, False, True, False),
-    Mnemonic.LD_Z_DEC: (30, True, False, False),
-    Mnemonic.LDD_Y: (28, False, False, True),
-    Mnemonic.LDD_Z: (30, False, False, True),
-    Mnemonic.ST_X: (26, False, False, False),
-    Mnemonic.ST_X_INC: (26, False, True, False),
-    Mnemonic.ST_X_DEC: (26, True, False, False),
-    Mnemonic.ST_Y_INC: (28, False, True, False),
-    Mnemonic.ST_Y_DEC: (28, True, False, False),
-    Mnemonic.ST_Z_INC: (30, False, True, False),
-    Mnemonic.ST_Z_DEC: (30, True, False, False),
-    Mnemonic.STD_Y: (28, False, False, True),
-    Mnemonic.STD_Z: (30, False, False, True),
-}

@@ -171,6 +171,29 @@ CONTROL_FLOW = frozenset(
     }
 )
 
+# Pointer loads/stores -> (pointer register, pre-decrement,
+# post-increment, uses the ``q`` displacement).
+POINTER_MODES = {
+    Mnemonic.LD_X: (26, False, False, False),
+    Mnemonic.LD_X_INC: (26, False, True, False),
+    Mnemonic.LD_X_DEC: (26, True, False, False),
+    Mnemonic.LD_Y_INC: (28, False, True, False),
+    Mnemonic.LD_Y_DEC: (28, True, False, False),
+    Mnemonic.LD_Z_INC: (30, False, True, False),
+    Mnemonic.LD_Z_DEC: (30, True, False, False),
+    Mnemonic.LDD_Y: (28, False, False, True),
+    Mnemonic.LDD_Z: (30, False, False, True),
+    Mnemonic.ST_X: (26, False, False, False),
+    Mnemonic.ST_X_INC: (26, False, True, False),
+    Mnemonic.ST_X_DEC: (26, True, False, False),
+    Mnemonic.ST_Y_INC: (28, False, True, False),
+    Mnemonic.ST_Y_DEC: (28, True, False, False),
+    Mnemonic.ST_Z_INC: (30, False, True, False),
+    Mnemonic.ST_Z_DEC: (30, True, False, False),
+    Mnemonic.STD_Y: (28, False, False, True),
+    Mnemonic.STD_Z: (30, False, False, True),
+}
+
 
 @dataclass(frozen=True)
 class Instruction:

@@ -8,16 +8,21 @@ precision against engine speed:
   instruction's true cycle delta to its PC.  Works on both engines and
   sums *exactly* to the CPU cycle counter, but trace hooks force the
   compiled engine down its per-instruction degrade path.
-* ``block`` — a block-entry count mapping on ``engine.profile_hook``:
-  the fast engine stays fast (one ``is not None`` check plus one dict
-  upsert per superblock, no Python-level call) and the per-PC weights
-  are reconstructed at snapshot time from each block's cached cycle
-  layout.  Cold block heads are fused (never compiled) while the hook is
-  set, so cold-tier retirements are attributed too.  Taken-branch
-  extras, interrupt service overhead and block-budget tail instructions
-  are invisible at this granularity, so totals agree with ``exact`` only
-  to within a few percent.  On the interpreter (no superblocks) this
-  mode silently degrades to ``exact``; check :attr:`effective_mode`.
+* ``block`` — a mapping on ``engine.profile_hook`` from each superblock
+  to its run counts by instructions retired: the fast engine stays fast
+  (one ``is not None`` check plus one dict lookup and list increment
+  per superblock run, no Python-level call)
+  and the per-PC weights are reconstructed at snapshot time from each
+  block's cached cycle layout.  A run charges exactly the first
+  ``retired`` instructions of its block: a compiled body that leaves
+  early at a hooked access, and a cold run (which stops at the first
+  store, so it can be shorter than the hot block fused at its head).
+  Cold block heads are fused (never compiled) while the hook is set, so
+  cold-tier retirements are attributed too.  Taken-branch extras and
+  interrupt service overhead are invisible at this granularity, so
+  totals agree with ``exact`` only to within a few percent.  On the
+  interpreter (no superblocks) this mode silently degrades to ``exact``;
+  check :attr:`effective_mode`.
 * ``heatmap`` — ``exact`` plus a shadow call stack.  CALL/RCALL/ICALL
   push the expected return address; RET must pop exactly that address,
   and direct/indirect jumps must stay inside the current function or
@@ -111,7 +116,7 @@ class AvrProfiler:
         # {pc_bytes: [hits, cycles]} — exact/heatmap fill this directly,
         # block mode expands into it at snapshot time.
         self._samples: Dict[int, List[int]] = {}
-        self._block_counts: Dict[object, int] = {}
+        self._block_counts: Dict[object, List[int]] = {}
         self._last_cycles = 0
         self._cpu = None
         self._engine = None
@@ -274,6 +279,14 @@ class AvrProfiler:
 
     # -- reporting --------------------------------------------------------
 
+    def _block_runs(self):
+        """``(block, retired, runs)``: ``runs`` runs of the block's first
+        ``retired`` instructions, from the engine's block counts."""
+        for block, counts in self._block_counts.items():
+            for retired, runs in enumerate(counts):
+                if runs:
+                    yield block, retired, runs
+
     def _expanded_samples(self) -> Dict[int, List[int]]:
         """Block counts unfolded to per-PC samples (block mode only)."""
         if not self._block_counts:
@@ -290,18 +303,19 @@ class AvrProfiler:
                 cell[0] += hits
                 cell[1] += cycles
 
-        for block, count in self._block_counts.items():
+        for block, retired, count in self._block_runs():
             meta = block.body_meta
             body_cycles = block.body_cycles
-            for index, (_, pc_bytes, before) in enumerate(meta):
+            for index, (_, pc_bytes, before) in enumerate(meta[:retired]):
                 if index + 1 < len(meta):
                     weight = meta[index + 1][2] - before
                 else:
                     weight = body_cycles - before
                 charge(pc_bytes, count, weight * count)
-            charge(
-                block.last_pc_bytes, count, block.last_base_cycles * count
-            )
+            if retired == block.count:
+                charge(
+                    block.last_pc_bytes, count, block.last_base_cycles * count
+                )
         return samples
 
     @property

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..errors import AvrError, LockstepDivergenceError
-from .cpu import _POINTER_MODES, AvrCpu
-from .insn import Instruction, Mnemonic
+from .cpu import AvrCpu
+from .insn import POINTER_MODES, Instruction, Mnemonic
 from .iospace import IO_TO_DATA_OFFSET, SREG_DATA
 from .memory import REGISTER_FILE_SIZE
 
@@ -27,7 +27,7 @@ from .memory import REGISTER_FILE_SIZE
 # post-increment, displacement), from the core's own addressing table.
 _STORE_MODES = {
     mnemonic: mode
-    for mnemonic, mode in _POINTER_MODES.items()
+    for mnemonic, mode in POINTER_MODES.items()
     if mnemonic.value.startswith("st")
 }
 _IO_STORES = frozenset((Mnemonic.OUT, Mnemonic.SBI, Mnemonic.CBI))

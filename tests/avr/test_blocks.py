@@ -103,10 +103,10 @@ def test_cold_runs_stop_where_blocks_would():
     assert cpu.engine.blocks_built == 0
 
 
-def test_stores_and_sei_terminate_blocks():
+def test_sei_terminates_hot_blocks_but_sram_sts_does_not():
     program = [
         I(M.INC, rd=16),
-        I(M.STS, k=HOOK_ADDR, rr=16),  # store -> terminator
+        I(M.STS, k=HOOK_ADDR, rr=16),  # SRAM store -> fuses through
         I(M.INC, rd=17),
         I(M.BSET, b=7),                # sei -> terminator
         I(M.INC, rd=18),
@@ -115,8 +115,33 @@ def test_stores_and_sei_terminate_blocks():
     cpu = _cpu(program, warm=1)
     cpu.run(100)
     assert cpu.halted
-    # [inc, sts] [inc, sei] [inc, break]
-    assert cpu.engine.fusion_lengths == [2, 2, 2]
+    # [inc, sts, inc, sei] [inc, break]
+    assert cpu.engine.fusion_lengths == [4, 2]
+
+
+def test_hot_blocks_end_at_register_sreg_pointer_and_bit_stores():
+    """Hot fusion runs through SRAM/I-O `sts`, `out` and `push`, and still
+    stops at every store the body cannot do as one guarded byte store;
+    cold runs stop at every store."""
+    program = [
+        I(M.PUSH, rr=16), I(M.OUT, a=0x0A, rr=16), I(M.OUT, a=0x3D, rr=28),
+        I(M.STS, k=0x0020, rr=16), I(M.STS, k=0x21FF, rr=16),
+        I(M.STS, k=0x0010, rr=17),     # register: ends the first block
+        I(M.STS, k=0x005F, rr=17),     # SREG
+        I(M.OUT, a=0x3F, rr=0),        # out SREG
+        I(M.SBI, a=0x0A, b=1),
+        I(M.ST_X, rr=0),
+        I(M.BREAK),
+    ]
+    cpu = _cpu(program, warm=1, setup=lambda c: c.data.write_block(26, b"\x00\x03"))
+    cpu.data.sp = 0x21F0
+    cpu.run(100)
+    assert cpu.halted
+    assert cpu.engine.fusion_lengths == [6, 1, 1, 1, 1, 1]
+    cold = _cpu(program, setup=lambda c: c.data.write_block(26, b"\x00\x03"))
+    cold.data.sp = 0x21F0
+    cold.run(100)
+    assert sorted(cold.engine._heads) == [0, 1, 2, 3, 5, 7, 9, 11, 12, 13, 14]
 
 
 def test_bclr_of_i_flag_does_not_terminate():

@@ -273,6 +273,86 @@ def test_sei_terminates_compiled_block_so_latency_stays_exact():
     assert cpu.data.read_reg(20) == 1
 
 
+def test_interrupt_requested_by_a_mid_block_store_is_serviced_right_after_it():
+    """`sts` no longer ends a hot block, but a store that reaches a hook
+    leaves the body right after it, so the interrupts its hook requests
+    are serviced exactly where the interpreter services them."""
+    program = _interrupt_program()
+    main = program.index(I(M.BSET, b=7))
+    program[main + 1:main + 4] = [I(M.INC, rd=17), I(M.STS, k=HOOK_ADDR, rr=0)]
+    states = {}
+    for engine in ("interpreter", "compiled"):
+        cpu = _cpu(program, engine=engine, setup=_arm_interrupt_hook, warm=1)
+        cpu.run(100)
+        assert cpu.halted
+        assert cpu.interrupts_serviced == 2
+        assert cpu.data.read_reg(21) == 1
+        states[engine] = _state(cpu)
+    assert states["compiled"] == states["interpreter"]
+
+
+def test_failed_guard_leaves_the_body_after_that_instruction():
+    """With a hook on its address, a mid-block store runs the hook at the
+    interpreter's counters and the body returns right after it; without
+    one, the same body runs through the store."""
+    program = [
+        I(M.LDI, rd=20, k=4),
+        I(M.INC, rd=16),                  # loop head (word 1)
+        I(M.STS, k=HOOK_ADDR, rr=16),     # words 2-3
+        I(M.INC, rd=17),                  # word 4
+        I(M.DEC, rd=20),
+        I(M.BRBC, b=1, k=-6),             # brne to the loop head
+        I(M.BREAK),
+    ]
+    runs = {}
+    for hooked in (False, True):
+        logs = []
+        for engine in ("interpreter", "compiled"):
+            log = []
+
+            def setup(cpu, log=log):
+                if hooked:
+                    cpu.data.add_write_hook(HOOK_ADDR, lambda a, v, cpu=cpu: log.append(
+                        (v, cpu.cycles, cpu.pc, cpu.instructions_retired)))
+
+            cpu = _cpu(program, engine=engine, setup=setup, warm=1)
+            cpu.run(100)
+            assert cpu.halted
+            logs.append((_state(cpu), cpu.data.read_block(HOOK_ADDR, 1), log))
+        assert logs[0] == logs[1]
+        runs[hooked] = cpu.engine
+    assert len(logs[1][2]) == 4
+    assert 4 not in runs[False]._hot  # the store fused through
+    assert 4 in runs[True]._hot       # the body left after the store
+    assert runs[True].compiled_entered > runs[False].compiled_entered
+
+
+@pytest.mark.parametrize("sp, access", [
+    (0x2200, I(M.PUSH, rr=17)),           # the pushed byte is out of range
+    (0x21FF, I(M.POP, rd=18)),            # the popped byte is out of range
+    (0x21FE, I(M.RET)),                   # the frame's second byte is
+    (0x2201, I(M.RCALL, k=0)),            # the frame's first byte is
+])
+def test_failed_stack_guard_faults_like_the_interpreter(sp, access):
+    """A stack access outside the data space fails its guard; the handler
+    method it falls back to faults with the interpreter's pc, cycles,
+    retire count and partial effects."""
+    program = [
+        I(M.LDI, rd=16, k=sp & 0xFF), I(M.OUT, a=0x3D, rr=16),
+        I(M.LDI, rd=16, k=sp >> 8), I(M.OUT, a=0x3E, rr=16),
+        I(M.INC, rd=17), access, I(M.INC, rd=19), I(M.BREAK),
+    ]
+    faults = {}
+    for engine in ("interpreter", "compiled"):
+        cpu = _cpu(program, engine=engine, warm=1)
+        with pytest.raises(CpuFault) as excinfo:
+            cpu.run(10)
+        fault = excinfo.value
+        faults[engine] = (str(fault), fault.pc, fault.cycles, _state(cpu))
+    assert cpu.engine.compiled_built == 1  # the fault came from a body
+    assert faults["compiled"] == faults["interpreter"]
+
+
 # -- generation fence and cache eviction ----------------------------------
 
 
@@ -377,14 +457,31 @@ def test_one_body_serves_the_same_bytes_at_any_address_on_any_core():
 
 
 def test_different_bytes_never_share_a_body():
-    """An absolute jump target is part of the key: same shape, different
-    target, different body."""
-    cpus = [_at_base([I(M.INC, rd=16), I(M.JMP, k=target)], 0, warm=1)
-            for target in (0, 4)]
-    for cpu in cpus:
-        cpu.run(2)
-    assert sum(cpu.engine.compiled_built for cpu in cpus) == 2
-    assert len(BODY_CACHE) == 2
+    """A ``call``/``jmp`` target is the body's argument, not part of its
+    key: the same body bytes with another target share one body, and each
+    core still lands on its own target.  Different body bytes never
+    share."""
+    def program(reg, branch, target):
+        return [I(M.INC, rd=reg), I(branch, k=target),  # words 0-2
+                I(M.INC, rd=17), I(M.BREAK),            # words 3-4
+                I(M.INC, rd=18), I(M.BREAK)]            # words 5-6
+
+    for branch in (M.JMP, M.CALL):
+        BODY_CACHE.clear()
+        built = []
+        for reg, target in ((16, 3), (16, 5), (19, 3)):
+            reference = _at_base(program(reg, branch, target), 0,
+                                 engine="interpreter")
+            subject = _at_base(program(reg, branch, target), 0, warm=1)
+            reference.run(10)
+            subject.run(10)
+            assert subject.halted
+            assert _state(subject) == _state(reference), (branch, reg, target)
+            built.append(subject.engine.compiled_built)
+        # [inc r16, branch] compiles once for both targets, each landing
+        # block once; [inc r19, branch] is other bytes and compiles anew
+        assert built == [2, 1, 1], branch
+        assert len(BODY_CACHE) == 4
 
 
 def test_decode_memo_turns_redecoding_moved_code_into_lookups():

@@ -3,15 +3,21 @@
 Generated programs mix ALU runs, forward branches, skips, counted loops,
 ``rcall``/``ret`` subroutines, pushes/pops, ``in``/``out``/``sbi``/``cbi``
 (SREG and SPL included) and ``lds``/``sts``/``ld``/``st``/``ldd``/``std``
-against write-hooked, read-hooked and plain SRAM addresses.  Each program is loaded at two base addresses on two cores —
-the swarm shape: the second core's blocks have the same bytes at other
-addresses, so they run the first core's compiled bodies — and the cores
-run alternately in small ``run(n)`` chunks.  After every chunk each core
-must match an interpreter running the same program at the same base,
-with no trace hooks attached: registers, SREG, SP, PC, cycles, retired
-count, halt flag, the whole data space, the peripheral hook log and any
-fault.  The compiled side runs at threshold 1 (every head hot at once),
-at the default threshold and with the threshold never reached (all cold).
+against write-hooked, read-hooked and plain SRAM addresses, registers,
+SREG and SPL/SPH.  They also drive SP to the edges of the guarded stack
+range (around 0x5F/0x60 and RAMEND) before a push, pop, call or return,
+and store to a peripheral whose write hook requests an interrupt, with
+and without ``sei`` first.  Each program is loaded at two base addresses
+on two cores — the swarm shape: the second core's blocks have the same
+bytes at other addresses, so they run the first core's compiled bodies —
+and the cores run alternately in small ``run(n)`` chunks, with hooks on
+stack and SRAM bytes added or removed between chunks.  After every chunk
+each core must match an interpreter running the same program at the
+same base, with no trace hooks attached: registers, SREG, SP, PC,
+cycles, retired count, halt flag, interrupt state, the whole data space,
+the hook log (with the counters each hook saw) and any fault.  The
+compiled side runs at threshold 1 (every head hot at once), at the
+default threshold and with the threshold never reached (all cold).
 """
 
 import itertools
@@ -22,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.avr import AvrCpu, CompiledEngine, Instruction, Mnemonic, encode_stream
 from repro.avr.compiled import BODY_CACHE
-from repro.avr.memory import DATA_SPACE_SIZE
+from repro.avr.memory import DATA_SPACE_SIZE, RAMEND
 from repro.errors import AvrError
 
 I = Instruction
@@ -33,12 +39,28 @@ THRESHOLDS = (1, CompiledEngine.WARM_THRESHOLD, NEVER)
 
 WRITE_HOOKED = (0x0300, 0x0301)  # 0x0301's hook overrides the stored byte
 READ_HOOKED = 0x0302  # reads return a running counter
+IRQ_HOOKED = 0x0306  # writes request IRQ_VECTOR
 ADDRESSES = (0x02FE, 0x0300, 0x0301, 0x0302, 0x0304, 0x0310)
+# sts/lds only: a register, SREG and SPL/SPH (never LOOP_REG)
+CONSTANT_ONLY = (0x0005, 0x0010, 0x005F, 0x005D, 0x005E)
 PLAIN_IO = 0x0A  # an unhooked I/O register
 IO_ADDRESSES = (PLAIN_IO, 0x3F, 0x3D)  # plain, SREG, SPL (moves the stack)
 LOOP_REG = 25  # the counted-loop register: nothing else writes it
 WRITABLE = tuple(r for r in range(32) if r != LOOP_REG)
 BASES = (0x0000, 0x0A31)  # word addresses of the two cores' copies
+# The interrupt vector's handler is one `reti` at word IRQ_VECTOR * 2,
+# above both copies; the image limit is raised to include it.
+IRQ_VECTOR = 0x800
+# SP values at the edges of the stack guard: the register file, SPL/SPH
+# and SREG below 0x60, the end of the data space above RAMEND.
+SP_EDGES = (0x0001, 0x005E, 0x005F, 0x0060, 0x0061, 0x0062,
+            RAMEND - 2, RAMEND - 1, RAMEND)
+# Hooks the harness adds or removes between chunks: write hooks observe,
+# read hooks observe and return the stored byte.  They sit where pushes,
+# calls, pops and returns from RAMEND land, on plain SRAM and on SPL.
+TOGGLES = (("w", RAMEND), ("w", RAMEND - 1), ("w", RAMEND - 2),
+           ("w", 0x0304), ("w", 0x005D), ("r", RAMEND), ("r", RAMEND - 1),
+           ("r", RAMEND - 2), ("r", 0x0304))
 
 _RR_OPS = (M.ADD, M.ADC, M.SUB, M.SBC, M.AND, M.OR, M.EOR, M.MOV, M.CP, M.CPC,
            M.MUL)
@@ -78,6 +100,8 @@ def memory_op(draw):
     store = draw(st.booleans())
     reg = draw(st.sampled_from(WRITABLE if not store else range(32)))
     if draw(st.booleans()):
+        if draw(st.integers(0, 3)) == 0:
+            address = draw(st.sampled_from(CONSTANT_ONLY))
         if store:
             return [I(M.STS, k=address, rr=reg)]
         return [I(M.LDS, rd=reg, k=address)]
@@ -128,10 +152,42 @@ def straight_item(draw):
 
 
 @st.composite
+def sp_edge_op(draw, subs):
+    """SP moved to a guard edge, then a push, pop, call or return."""
+    sp = draw(st.sampled_from(SP_EDGES))
+    reg = draw(st.integers(16, 24))
+    moves = [I(M.LDI, rd=reg, k=sp & 0xFF), I(M.OUT, a=0x3D, rr=reg),
+             I(M.LDI, rd=reg, k=sp >> 8), I(M.OUT, a=0x3E, rr=reg)]
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return moves + [I(M.PUSH, rr=draw(st.integers(0, 31)))]
+    if kind == 1:
+        return moves + [I(M.POP, rd=draw(st.sampled_from(WRITABLE)))]
+    if kind == 2 and subs:
+        return moves + [("rcall", draw(st.integers(0, subs - 1)))]
+    return moves + [I(M.RET)]
+
+
+@st.composite
+def irq_op(draw):
+    """A store whose write hook requests an interrupt, ``sei`` first or
+    not: service must follow that very store whenever I is set."""
+    flag = I(M.BSET if draw(st.booleans()) else M.BCLR, b=7)  # sei / cli
+    head = draw(st.lists(alu_op(), max_size=2))
+    store = I(M.STS, k=IRQ_HOOKED, rr=draw(st.integers(0, 31)))
+    return [flag] + head + [store] + draw(st.lists(alu_op(), max_size=2))
+
+
+@st.composite
 def item(draw, subs):
     """A main-line item: straight code, a forward branch, a call, a push or
-    pop.  Branch and call operands are symbolic until layout."""
-    kind = draw(st.integers(0, 9))
+    pop, a stack-edge access or an interrupt-requesting store.  Branch and
+    call operands are symbolic until layout."""
+    kind = draw(st.integers(0, 11))
+    if kind == 10:
+        return draw(sp_edge_op(subs))
+    if kind == 11:
+        return draw(irq_op())
     if kind <= 4:
         return draw(straight_item())
     if kind == 5:
@@ -229,31 +285,55 @@ def assemble(main, routines):
 
 def _core(program, base, engine, threshold=None):
     cpu = AvrCpu(engine=engine)
+    cpu.load_program(encode_stream([I(M.RETI)]), offset=IRQ_VECTOR * 4)
     cpu.load_program(encode_stream(program), offset=base * 2)
+    cpu.code_limit = IRQ_VECTOR * 4 + 2
     cpu.reset()
     cpu.pc = base
     if threshold is not None:
         cpu.engine.WARM_THRESHOLD = threshold
     log = []
 
+    def counters():
+        return (cpu.cycles, cpu.pc, cpu.instructions_retired)
+
     def write_hook(address, value):
-        log.append(("w", address, value, cpu.cycles, cpu.pc))
+        log.append(("w", address, value) + counters())
+        if address == IRQ_HOOKED:
+            cpu.request_interrupt(IRQ_VECTOR)
         return value ^ 0xFF if address == WRITE_HOOKED[1] else None
 
     def read_hook(address):
-        log.append(("r", address))
+        log.append(("r", address) + counters())
+        if address != READ_HOOKED:  # toggled hooks only observe
+            return cpu.data._bytes[address]
         return len(log)
 
-    for address in WRITE_HOOKED:
+    for address in WRITE_HOOKED + (IRQ_HOOKED,):
         cpu.data.add_write_hook(address, write_hook)
     cpu.data.add_read_hook(READ_HOOKED, read_hook)
     return cpu, log
 
 
+def _toggle(cpu, kind, address):
+    """Add the core's write or read hook at ``address``, or remove it."""
+    if kind == "w":
+        hooks = cpu.data._write_hooks
+        hook = hooks[WRITE_HOOKED[0]]
+    else:
+        hooks = cpu.data._read_hooks
+        hook = hooks[READ_HOOKED]
+    if address in hooks:
+        del hooks[address]
+    else:
+        hooks[address] = hook
+
+
 def _state(cpu, log):
     return (
         cpu.pc, cpu.data.sp, cpu.sreg.byte, cpu.cycles,
-        cpu.instructions_retired, cpu.halted,
+        cpu.instructions_retired, cpu.halted, cpu.interrupts_serviced,
+        tuple(cpu.pending_interrupts),
         cpu.data.read_block(0, DATA_SPACE_SIZE), tuple(log),
     )
 
@@ -266,9 +346,11 @@ def _run_chunk(cpu, n):
     return None
 
 
-def check_program(program, chunks, threshold, budget=3000):
+def check_program(program, chunks, threshold, budget=3000, toggles=()):
     """Both bases on both engines, alternately, chunk by chunk, until every
-    core halts or faults or has retired ``budget`` instructions."""
+    core halts or faults or has retired ``budget`` instructions.  Before
+    chunk ``i`` the hook ``toggles[i % len(toggles)]`` (if any; ``None``
+    toggles nothing) flips on both engines of the core about to run."""
     cores = []
     for base in BASES:
         reference = _core(program, base, "interpreter")
@@ -280,6 +362,10 @@ def check_program(program, chunks, threshold, budget=3000):
             return
         core = live[step % len(live)]
         (reference, ref_log), (subject, sub_log), _ = core
+        toggle = toggles[step % len(toggles)] if toggles else None
+        if toggle is not None:
+            _toggle(reference, *toggle)
+            _toggle(subject, *toggle)
         ref_fault = _run_chunk(reference, n)
         sub_fault = _run_chunk(subject, n)
         assert sub_fault == ref_fault
@@ -289,13 +375,39 @@ def check_program(program, chunks, threshold, budget=3000):
 
 
 chunk_lists = st.lists(st.integers(1, 40), min_size=1, max_size=6)
+toggle_lists = st.lists(st.one_of(st.none(), st.sampled_from(TOGGLES)),
+                        max_size=6)
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS, ids=("hot", "default", "cold"))
 @settings(max_examples=25, deadline=None)
-@given(program=programs(), chunks=chunk_lists)
-def test_shared_bodies_match_interpreter(threshold, program, chunks):
-    check_program(program, chunks, threshold)
+@given(program=programs(), chunks=chunk_lists, toggles=toggle_lists)
+def test_shared_bodies_match_interpreter(threshold, program, chunks, toggles):
+    check_program(program, chunks, threshold, toggles=toggles)
+
+
+def _counted_access_program(access):
+    """``ldi r17,5; L: inc r16; inc r16; <access>; dec r17; brne L; break``"""
+    return [I(M.LDI, rd=17, k=5), I(M.INC, rd=16), I(M.INC, rd=16), access,
+            I(M.DEC, rd=17), I(M.BRBC, b=1, k=-(4 + access.size_words)),
+            I(M.BREAK)]
+
+
+@pytest.mark.parametrize("threshold", THRESHOLDS, ids=("hot", "default", "cold"))
+@pytest.mark.parametrize("access", (I(M.STS, k=WRITE_HOOKED[0], rr=16),
+                                    I(M.LDS, rd=18, k=READ_HOOKED)),
+                         ids=("write", "read"))
+def test_hooks_see_the_interpreters_counters(threshold, access):
+    """A data-space hook sees the cycles, PC and retire count the
+    interpreter has when it runs the access: (4, 5, 3), (11, 5, 8), ..."""
+    logs = []
+    for engine, warm in (("interpreter", None), ("compiled", threshold)):
+        cpu, log = _core(_counted_access_program(access), 0, engine, warm)
+        cpu.run(200)
+        assert cpu.halted
+        logs.append([entry[-3:] for entry in log])
+    assert logs[0][:2] == [(4, 5, 3), (11, 5, 8)]
+    assert logs[1] == logs[0]
 
 
 def test_assembled_program_reaches_break():
@@ -312,6 +424,17 @@ def test_assembled_program_reaches_break():
     cpu.run(200)
     assert cpu.halted
     assert cpu.data.read_reg(17) == 3
+
+
+@pytest.mark.parametrize("toggle", TOGGLES[:3] + TOGGLES[5:8])
+def test_hooks_toggled_on_a_call_frame_between_chunks(toggle):
+    """A hook added under an already compiled call or return reaches that
+    frame byte's hook on every tier, and removing it restores the fast
+    path (one case per byte of the frame at RAMEND)."""
+    program = assemble([("loop", 4, [[("rcall", 0)], [I(M.INC, rd=16)]])],
+                       [[[I(M.INC, rd=17)]]])
+    for threshold in THRESHOLDS:
+        check_program(program, [3, 5], threshold, toggles=[toggle])
 
 
 def test_second_core_runs_the_first_cores_bodies():

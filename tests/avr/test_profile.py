@@ -158,6 +158,27 @@ def test_block_mode_on_superblock_engine_uses_profile_hook():
     assert cpu.engine.compiled_built == 0  # ...but never compiled
 
 
+@pytest.mark.parametrize("warm", (1, 1 << 62), ids=("hot", "cold"))
+def test_block_mode_charges_a_short_run_only_its_prefix(warm):
+    """A body leaving at a hooked store, and a cold run stopping at a
+    store the hot block fuses through, are charged exactly the
+    instructions they retired, so straight-line totals stay exact."""
+    cpu = AvrCpu(engine="compiled")
+    cpu.load_program(encode_stream(
+        [I(M.NOP)] * 3 + [I(M.STS, k=0x0300, rr=0)] + [I(M.NOP)] * 3
+        + [I(M.BREAK)]
+    ))
+    cpu.reset()
+    cpu.engine.WARM_THRESHOLD = warm
+    cpu.data.add_write_hook(0x0300, lambda address, value: None)
+    profiler = AvrProfiler(mode="block").attach(cpu, cpu.engine)
+    cpu.run(100)
+    assert cpu.halted
+    runs = {(block.start, retired) for block, retired, _ in profiler._block_runs()}
+    assert runs == {(0, 4), (5, 4)}
+    assert profiler.total_cycles == cpu.cycles
+
+
 def test_block_mode_degrades_to_exact_on_per_instruction_engine():
     cpu, profiler = run_profiled(
         [I(M.NOP)] * 5 + [I(M.BREAK)], mode="block", engine="interpreter"
