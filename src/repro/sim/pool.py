@@ -44,6 +44,10 @@ def in_worker() -> bool:
 def _init_worker() -> None:
     global _IN_WORKER
     _IN_WORKER = True
+    # A signal mask survives fork and exec: if whatever launched the
+    # campaign blocked SIGALRM, the per-task alarm would stay pending and
+    # a timed-out task would run to completion.
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGALRM})
 
 
 @dataclass

@@ -6,6 +6,7 @@ JSONL bytes whether it runs inline, across 4 workers, or twice in a row.
 """
 
 import json
+import signal
 
 import pytest
 
@@ -249,6 +250,22 @@ def test_timed_out_tasks_become_timeout_results_and_are_not_checkpointed(
     assert report.aggregates["errors"] == 2
     checkpoint = ckpt / "checkpoint.jsonl"
     assert not checkpoint.exists() or not checkpoint.read_text()
+
+
+def test_timeouts_fire_when_the_launching_process_blocks_sigalrm():
+    # forked workers inherit the blocked mask; unless they unblock SIGALRM
+    # the alarm stays pending and each task flies all its ticks (~15 s)
+    specs = [
+        ScenarioSpec(app="testapp", observe_ticks=10_000, label=f"masked{i}")
+        for i in range(2)
+    ]
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+    try:
+        report = CampaignRunner(jobs=2, timeout_s=1).run(specs)
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+    assert [r.outcome for r in report.results] == ["timeout", "timeout"]
+    assert all(r.error == "exceeded 1s" for r in report.results)
 
 
 @pytest.mark.parametrize("timeout_s", (0, -1))
