@@ -1,4 +1,4 @@
-"""Campaign throughput: the fleet-scale fast path, cold vs warm.
+"""Campaign throughput: the fleet-scale fast path, cold vs cached.
 
 The workload is the paper's §VII-A guessing campaign expressed as
 scenario specs — one freshly randomized protected board per attempt —
@@ -7,20 +7,20 @@ fanned out by :class:`repro.sim.CampaignRunner`.  Three measurements:
 * **cold serial baseline** — no artifact cache, every scenario pays the
   toolchain build, the defense preprocess pass and the simulated ISP
   programming + boot, exactly as before the fast path existed;
-* **warm runs at jobs ∈ {1, 2, 4}** — a priming pass publishes the
-  build/deploy/board artifacts, then every job level re-runs the same
-  specs against the shared cache root (the CI-rerun / resume traffic
-  shape);
+* **cached runs at jobs ∈ {1, 2, 4}** — a priming pass publishes the
+  build and deploy artifacts, then every job level re-runs the same
+  specs against the shared cache root (each scenario still programs
+  and boots its own board seed);
 * **per-scenario setup time** — the ``build+preprocess+program+boot``
-  host milliseconds from the phase attribution, cold vs warm.
+  host milliseconds from the phase attribution, cold vs cached.
 
 Asserted floors:
 
-* warm setup beats cold setup by >= ``WARM_SETUP_FLOOR`` (5x) per
+* cached setup beats cold setup by >= ``CACHED_SETUP_FLOOR`` (5x) per
   scenario — enforced everywhere, including single-core boxes;
-* 4 warm jobs beat 1 warm job by >= ``SPEEDUP_FLOOR`` (2.5x)
+* 4 cached jobs beat 1 cached job by >= ``SPEEDUP_FLOOR`` (2.5x)
   wall-clock — enforced only with >= 2 usable cores (CI runners);
-* the JSONL bytes are identical across cold/warm and serial/parallel,
+* the JSONL bytes are identical across cold/cached and serial/parallel,
   so neither speedup is ever bought with a determinism regression.
 
 Results land in ``BENCH_campaign_throughput.json`` at the repo root.
@@ -40,10 +40,10 @@ RESULTS_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_campaign_throughput.json"
 )
 JOB_LEVELS = (1, 2, 4)
-#: 4 warm jobs vs 1 warm job, wall-clock (enforced with >= 2 cores)
+#: 4 cached jobs vs 1 cached job, wall-clock (enforced with >= 2 cores)
 SPEEDUP_FLOOR = 2.5
-#: cold vs warm per-scenario setup host time (always enforced)
-WARM_SETUP_FLOOR = 5.0
+#: cold vs cached per-scenario setup host time (always enforced)
+CACHED_SETUP_FLOOR = 5.0
 SETUP_PHASES = ("build", "preprocess", "program", "boot")
 BASE_SEED = 2024
 
@@ -92,7 +92,7 @@ def test_campaign_throughput(benchmark, tmp_path):
     cold_wall = time.perf_counter() - start
     assert cold.aggregates["errors"] == 0
 
-    # priming pass publishes build/deploy/board artifacts to the shared root
+    # priming pass publishes build/deploy artifacts to the shared root
     prime_path = tmp_path / "prime.jsonl"
     start = time.perf_counter()
     prime = CampaignRunner(
@@ -101,10 +101,10 @@ def test_campaign_throughput(benchmark, tmp_path):
     prime_wall = time.perf_counter() - start
     assert prime.aggregates == cold.aggregates
 
-    # warm runs: every job level replays the same specs against the cache
+    # cached runs: every job level replays the same specs against the cache
     wall, rate, reports = {}, {}, {}
     for jobs in JOB_LEVELS:
-        jsonl = tmp_path / f"warm-{jobs}.jsonl"
+        jsonl = tmp_path / f"cached-{jobs}.jsonl"
         runner = CampaignRunner(jobs=jobs, jsonl_path=jsonl, cache_dir=cache_dir)
         start = time.perf_counter()
         report = runner.run(specs)
@@ -112,16 +112,16 @@ def test_campaign_throughput(benchmark, tmp_path):
         rate[jobs] = count / wall[jobs]
         reports[jobs] = report
         assert report.aggregates["errors"] == 0
-        # neither speedup is bought with nondeterminism: cold vs warm and
-        # serial vs parallel emit byte-identical JSONL
+        # neither speedup is bought with nondeterminism: cold vs cached
+        # and serial vs parallel emit byte-identical JSONL
         assert jsonl.read_bytes() == cold_path.read_bytes(), (
-            f"warm jobs={jobs} JSONL diverged from the cold serial baseline"
+            f"cached jobs={jobs} JSONL diverged from the cold serial baseline"
         )
     assert prime_path.read_bytes() == cold_path.read_bytes()
 
     cold_setup = _setup_ms(cold) / count
-    warm_setup = _setup_ms(reports[1]) / count
-    setup_speedup = cold_setup / warm_setup if warm_setup else float("inf")
+    cached_setup = _setup_ms(reports[1]) / count
+    setup_speedup = cold_setup / cached_setup if cached_setup else float("inf")
     speedup_at_4 = wall[1] / wall[4]
 
     results = {
@@ -130,30 +130,30 @@ def test_campaign_throughput(benchmark, tmp_path):
         "wall_s": {
             "cold_serial": round(cold_wall, 3),
             "prime_serial": round(prime_wall, 3),
-            **{f"warm_{j}": round(wall[j], 3) for j in JOB_LEVELS},
+            **{f"cached_{j}": round(wall[j], 3) for j in JOB_LEVELS},
         },
         "scenarios_per_second": {
             "cold_serial": round(count / cold_wall, 3),
-            **{f"warm_{j}": round(rate[j], 3) for j in JOB_LEVELS},
+            **{f"cached_{j}": round(rate[j], 3) for j in JOB_LEVELS},
         },
-        "warm_speedup_vs_serial": {
+        "cached_speedup_vs_serial": {
             str(j): round(wall[1] / wall[j], 3) for j in JOB_LEVELS
         },
         "setup_ms_per_scenario": {
             "cold": round(cold_setup, 3),
-            "warm": round(warm_setup, 3),
+            "cached": round(cached_setup, 3),
             "speedup": round(setup_speedup, 1),
         },
-        "jsonl_identity": {"cold_vs_warm": True, "serial_vs_parallel": True},
+        "jsonl_identity": {"cold_vs_cached": True, "serial_vs_parallel": True},
         "floors": {
             "speedup_at_4_jobs": SPEEDUP_FLOOR,
             "parallel_enforced": cores >= 2,
-            "warm_setup_speedup": WARM_SETUP_FLOOR,
-            "warm_setup_enforced": True,
+            "cached_setup_speedup": CACHED_SETUP_FLOOR,
+            "cached_setup_enforced": True,
         },
     }
 
-    # pytest-benchmark row: one warm scenario batch
+    # pytest-benchmark row: one cached scenario batch
     benchmark.pedantic(
         lambda: CampaignRunner(jobs=1, cache_dir=cache_dir).run(specs[:1]),
         rounds=1, iterations=1,
@@ -163,15 +163,15 @@ def test_campaign_throughput(benchmark, tmp_path):
     print(f"\n{'run':>12} {'wall':>9} {'scen/s':>8} {'speedup':>8}")
     print(f"{'cold serial':>12} {cold_wall:>8.2f}s {count / cold_wall:>8.2f} {'':>8}")
     for jobs in JOB_LEVELS:
-        print(f"{f'warm x{jobs}':>12} {wall[jobs]:>8.2f}s {rate[jobs]:>8.2f} "
+        print(f"{f'cached x{jobs}':>12} {wall[jobs]:>8.2f}s {rate[jobs]:>8.2f} "
               f"{wall[1] / wall[jobs]:>7.2f}x")
-    print(f"setup/scenario: cold {cold_setup:.1f} ms, warm {warm_setup:.2f} ms "
+    print(f"setup/scenario: cold {cold_setup:.1f} ms, cached {cached_setup:.2f} ms "
           f"({setup_speedup:.0f}x); usable cores: {cores}; "
           f"results written to {RESULTS_PATH}")
 
-    assert setup_speedup >= WARM_SETUP_FLOOR, (
-        f"warm setup only {setup_speedup:.1f}x faster than cold per scenario; "
-        f"the floor is {WARM_SETUP_FLOOR}x"
+    assert setup_speedup >= CACHED_SETUP_FLOOR, (
+        f"cached setup only {setup_speedup:.1f}x faster than cold per scenario; "
+        f"the floor is {CACHED_SETUP_FLOOR}x"
     )
     if cores >= 2:
         assert speedup_at_4 >= SPEEDUP_FLOOR, (

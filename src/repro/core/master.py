@@ -13,6 +13,7 @@ The ATmega1284P that owns the defense at runtime:
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from typing import List, Optional
 
 from ..binfmt.image import FirmwareImage
@@ -28,6 +29,25 @@ from .defenses import DefenseBackend, MavrBackend
 from .policy import RandomizationPolicy
 from .randomize import Permutation
 from .watchdog import WatchdogConfig, WatchdogMonitor
+
+
+#: parsed external-flash blobs: a bounded LRU keyed by the blob bytes, so
+#: every board in a process that deploys the same blob shares one parse.
+#: The image is read-only by convention; the one sanctioned mutation,
+#: attaching a relocation index, is deterministic in content.
+_ORIGINAL_CACHE: "OrderedDict[bytes, FirmwareImage]" = OrderedDict()
+_ORIGINAL_CACHE_LIMIT = 8
+
+
+def _parsed_blob(blob: bytes) -> FirmwareImage:
+    image = _ORIGINAL_CACHE.get(blob)
+    if image is None:
+        image = _ORIGINAL_CACHE[blob] = FirmwareImage.from_flash_blob(blob)
+    else:
+        _ORIGINAL_CACHE.move_to_end(blob)
+    while len(_ORIGINAL_CACHE) > _ORIGINAL_CACHE_LIMIT:
+        _ORIGINAL_CACHE.popitem(last=False)
+    return image
 
 
 class MasterStats(StatsView):
@@ -189,7 +209,7 @@ class MasterProcessor:
             # it — the master rebuilds the index in RAM at first boot
             blob = image.to_flash_blob(include_index=False)
         self.external_flash.store(blob)
-        self._original = None  # reparse on next boot
+        self._original = None  # re-read the chip on next boot
 
     def deploy_blob(self, blob: bytes) -> None:
         """Store a ready-made external-flash blob (the artifact fast path).
@@ -201,18 +221,18 @@ class MasterProcessor:
         single byte on the chip.
         """
         self.external_flash.store(blob)
-        self._original = None  # reparse on next boot
+        self._original = None  # re-read the chip on next boot
 
     def _original_image(self) -> FirmwareImage:
         if self._original is None:
             blob = self.external_flash.read_all()
             if not blob:
                 raise DefenseError("no application deployed on the external flash")
-            image = FirmwareImage.from_flash_blob(blob)
+            image = _parsed_blob(blob)
             self.backend.check_deployable(image)
             if image.reloc_index is None and self.backend.requires_randomizable:
                 # legacy deployment (or an index squeezed off the chip):
-                # pay the full-stream decode once per deployment, in RAM
+                # pay the full-stream decode once per parsed blob, in RAM
                 image.reloc_index = build_relocation_index(image)
             self._original = image
         return self._original

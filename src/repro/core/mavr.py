@@ -126,7 +126,7 @@ class MavrSystem:
         """Full telemetry snapshot (metrics + spans + events)."""
         return self.telemetry.snapshot()
 
-    # -- warm board fork ------------------------------------------------------
+    # -- booted-board snapshots -----------------------------------------------
 
     def capture_snapshot(self) -> dict:
         """Freeze the booted board as plain picklable data.
@@ -138,8 +138,9 @@ class MavrSystem:
         ISP programming: the running (randomized) image, the parsed
         original with its relocation index, the chip blob, the master's
         RNG stream position, and every monotonic counter the defense
-        accounting exposes.  :meth:`from_snapshot` is the inverse; the
-        warm-vs-cold byte-identity of scenario records is pinned by test.
+        accounting exposes.  :meth:`from_snapshot` is the inverse; that a
+        restored system flies exactly like the captured one is pinned by
+        test.
         """
         master = self.master
         if master.current_image is None:

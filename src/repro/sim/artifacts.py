@@ -2,41 +2,41 @@
 
 Scenario setup repeats the same expensive host-side work in every pool
 worker: the toolchain build, the defense backend's preprocess pass
-(pointer-coverage scan + HEX encode), the external-flash blob encode,
-and the full ISP programming + boot of the first scenario per board
-configuration.  All of those artifacts are pure functions of their
-inputs, so they are cached *content-addressed*: the key is a BLAKE2b
-digest over the canonical JSON of the producing configuration (app,
-toolchain, vulnerability flag, defense backend, board seed, …) plus a
-format version, and the value lives in one file under a shared cache
-root.
+(pointer-coverage scan + HEX encode) and the external-flash blob
+encode.  Those artifacts are pure functions of their inputs, so they
+are cached *content-addressed*: the key is a BLAKE2b digest over the
+canonical JSON of the producing configuration (app, toolchain,
+vulnerability flag, defense backend) plus a format version, and the
+value lives in one file under a shared cache root.
 
-Three artifact kinds ride the same store:
+Two artifact kinds ride the same store:
 
 * ``build``    — the built :class:`~repro.binfmt.image.FirmwareImage`
   (pickled), so a fresh pool worker skips the linker,
 * ``deploy``   — the external-flash blob exactly as the master stored it
   (preprocessed binary + symbols + relocation index), so a worker skips
-  the preprocess pass and the HEX round-trip,
-* ``board``    — a booted-board snapshot (see
-  :meth:`repro.core.mavr.MavrSystem.capture_snapshot`), so a worker
-  skips the simulated ISP programming and boot entirely.
+  the preprocess pass and the HEX round-trip.
+
+Every board is still programmed and booted; the cache only skips work
+whose result does not depend on the board seed.
 
 Design constraints, in order:
 
 * **Determinism first.**  The cache changes *host* time only.  Every
   JSONL byte a campaign emits is identical with the cache disabled,
-  cold, or warm — proven by test and asserted by the throughput bench.
+  cold, or primed — proven by test and asserted by the throughput bench.
+* **Damage reads as a miss.**  Each file holds a BLAKE2b digest of its
+  payload ahead of the payload; a short, torn or bit-flipped file fails
+  the check and the scenario takes the cold path.
 * **Concurrent writers.**  Pool workers share the root; writes go to a
   temp file in the same directory followed by :func:`os.replace`, so a
   reader never observes a torn artifact and the last writer wins with
   byte-identical content.
 * **Bounded memory.**  The per-process memo over disk hits is an LRU
   (:data:`MEMO_LIMIT` entries) filled on *read* only: publishing an
-  object does not memoize it, because most published objects (one board
-  snapshot per scenario seed) are never read back by the process that
-  wrote them.  The disk store is bounded only by the root the caller
-  owns (campaign runs typically point it at a temp dir).
+  object does not memoize it, because a process rarely reads back what
+  it wrote.  The disk store is bounded only by the root the caller owns
+  (campaign runs typically point it at a temp dir).
 """
 
 from __future__ import annotations
@@ -53,7 +53,10 @@ from typing import Dict, Optional, Union
 #: bump when any cached artifact's format or producing code changes in a
 #: way that invalidates old entries (keys embed this, so stale files are
 #: simply never addressed again)
-CACHE_VERSION = 1
+CACHE_VERSION = 2
+
+#: bytes of the BLAKE2b payload digest stored at the head of every file
+DIGEST_SIZE = 16
 
 #: per-process memo entries kept per cache root (an LRU over disk hits)
 MEMO_LIMIT = 64
@@ -78,6 +81,10 @@ def artifact_key(kind: str, **fields) -> str:
     return f"{kind}-{digest}"
 
 
+def _digest(data: bytes) -> bytes:
+    return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
+
+
 class ArtifactCache:
     """Disk-backed content-addressed store shared across pool workers."""
 
@@ -85,7 +92,7 @@ class ArtifactCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         # hit/miss/store counts by artifact kind (the key prefix); the
-        # warm-path tests and the throughput bench read these
+        # cache tests and the throughput bench read these
         self.hits: Dict[str, int] = {}
         self.misses: Dict[str, int] = {}
         self.stores: Dict[str, int] = {}
@@ -115,9 +122,14 @@ class ArtifactCache:
         return self.root / key
 
     def get_bytes(self, key: str) -> Optional[bytes]:
+        """The published payload, or ``None`` when the file is missing or
+        its digest does not match (a damaged file counts as a miss)."""
         try:
-            data = self.path_for(key).read_bytes()
+            stored = self.path_for(key).read_bytes()
         except OSError:
+            stored = b""
+        data = stored[DIGEST_SIZE:]
+        if stored[:DIGEST_SIZE] != _digest(data):
             self._count(self.misses, key)
             return None
         self._count(self.hits, key)
@@ -130,6 +142,7 @@ class ArtifactCache:
         )
         try:
             with handle:
+                handle.write(_digest(data))
                 handle.write(data)
             os.replace(handle.name, self.path_for(key))
         except BaseException:
@@ -162,7 +175,7 @@ class ArtifactCache:
         try:
             value = pickle.loads(data)
         except Exception:
-            return None  # torn/foreign file: treat as a miss
+            return None  # a verified payload that no longer unpickles
         memo[key] = value
         while len(memo) > MEMO_LIMIT:
             memo.popitem(last=False)

@@ -288,9 +288,10 @@ class CampaignRunner:
     ) -> Dict[int, ScenarioResult]:
         """Replay completed specs from the checkpoint file.
 
-        Lines that fail to parse (the torn tail of an interrupted append),
-        carry an out-of-range index, or whose spec digest does not match
-        the current spec list are skipped — those specs simply re-run.
+        Lines that fail to parse, lack their newline (the torn tail of an
+        interrupted append), carry an out-of-range index, or whose spec
+        digest does not match the current spec list are skipped — those
+        specs simply re-run.
         """
         completed: Dict[int, ScenarioResult] = {}
         path = self._checkpoint_path()
@@ -298,6 +299,8 @@ class CampaignRunner:
             return completed
         with open(path, encoding="utf-8") as handle:
             for line in handle:
+                if not line.endswith("\n"):
+                    continue
                 line = line.strip()
                 if not line:
                     continue
@@ -315,6 +318,18 @@ class CampaignRunner:
                     continue
         return completed
 
+    def _trim_torn_tail(self) -> None:
+        """Cut the checkpoint file back to its last newline, so the first
+        line this run appends never lands on a torn tail."""
+        path = self._checkpoint_path()
+        if not path.exists():
+            return
+        with open(path, "r+b") as handle:
+            data = handle.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                handle.truncate(end)
+
     def run(self, specs: Sequence[ScenarioSpec]) -> CampaignReport:
         specs = list(specs)
         started = time.perf_counter()
@@ -324,6 +339,7 @@ class CampaignRunner:
             self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
             if self.resume:
                 completed = self._load_checkpoints(specs)
+                self._trim_torn_tail()
             else:
                 self._checkpoint_path().unlink(missing_ok=True)
         pending = [

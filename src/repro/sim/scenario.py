@@ -216,43 +216,6 @@ def _deploy_key(spec: ScenarioSpec) -> str:
     )
 
 
-def _board_key(spec: ScenarioSpec) -> str:
-    """Key of the booted-board snapshot: every field that shapes the
-    post-boot state (the attack/budget/observability fields do not)."""
-    from ..core.mavr import SNAPSHOT_VERSION
-
-    return artifact_key(
-        "board",
-        snapshot_version=SNAPSHOT_VERSION,
-        defense=spec.defense,
-        engine=spec.engine,
-        seed=spec.seed,
-        randomize_every_boots=spec.randomize_every_boots,
-        watchdog_period_cycles=spec.watchdog_period_cycles,
-        watchdog_missed_periods=spec.watchdog_missed_periods,
-        link_baud=spec.link_baud,
-        **_firmware_fields(spec),
-    )
-
-
-def _snapshot_eligible(spec: ScenarioSpec, telemetry: Optional[Telemetry]) -> bool:
-    """May this scenario restore (or capture) a booted-board snapshot?
-
-    Only protected boards without observers: telemetry, the profiler and
-    the flight recorder all accumulate state from the programming/boot
-    phases that a restore would have to fabricate, so those specs always
-    take the cold path.  Everything else — attack variant, fault
-    injection, tick budgets — happens after the snapshot point.
-    """
-    return (
-        spec.protected
-        and not spec.telemetry
-        and (telemetry is None or not telemetry.enabled)
-        and spec.profile is None
-        and not spec.flight_recorder
-    )
-
-
 #: lifecycle phases, in execution order — the keys of every phase breakdown
 PHASE_ORDER = (
     "build", "preprocess", "program", "boot", "warmup", "attack", "run"
@@ -321,7 +284,9 @@ class Board:
     watchdog and link overrides; for an unprotected spec it is a bare
     ``Autopilot``.  Either way there is exactly one ``Telemetry`` handle,
     created here (or passed in by a caller who wants the JSONL sink open
-    before boot).
+    before boot).  With an artifact ``cache`` a protected board loads the
+    deploy blob from it instead of running the preprocess pass, or
+    publishes the blob it deployed for the next worker.
     """
 
     def __init__(
@@ -342,13 +307,6 @@ class Board:
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(enabled=spec.telemetry)
         )
-        # how the board was provisioned: "cold" (full preprocess+deploy),
-        # "cached" (deploy blob from the artifact cache), or "warm"
-        # (booted-board snapshot restore); diagnostics only
-        self.provisioned = "cold"
-        # the restored snapshot's replay data (phase sim_ms + overhead),
-        # or None when the board still needs a cold boot
-        self.restored: Optional[dict] = None
         if spec.protected:
             link = (
                 ProgrammingLink(baud=spec.link_baud)
@@ -359,79 +317,34 @@ class Board:
                 expected_period_cycles=spec.watchdog_period_cycles,
                 missed_periods_threshold=spec.watchdog_missed_periods,
             )
-            snapshot = None
-            deploy_blob = None
-            if cache is not None and _snapshot_eligible(spec, telemetry):
-                snapshot = cache.get_object(_board_key(spec))
-            if snapshot is not None:
-                self.system: Optional[MavrSystem] = MavrSystem.from_snapshot(
-                    snapshot,
-                    self.image,
-                    policy=policy,
-                    link=link,
-                    watchdog=watchdog,
-                    telemetry=self.telemetry,
-                    engine=spec.engine,
-                    defense=spec.defense,
+            deploy_blob = (
+                cache.get_bytes(_deploy_key(spec)) if cache is not None else None
+            )
+            self.system: Optional[MavrSystem] = MavrSystem(
+                self.image,
+                policy=policy,
+                link=link,
+                watchdog=watchdog,
+                seed=spec.seed,
+                telemetry=self.telemetry,
+                engine=spec.engine,
+                defense=spec.defense,
+                deploy_blob=deploy_blob,
+            )
+            if cache is not None and deploy_blob is None:
+                # publish the chip contents for the next worker; the blob
+                # is exactly what deploy() stored, fallback decisions
+                # included
+                cache.put_bytes(
+                    _deploy_key(spec),
+                    self.system.master.external_flash.read_all(),
                 )
-                self.provisioned = "warm"
-                self.restored = {
-                    "overhead_ms": snapshot["overhead_ms"],
-                    "program_sim_ms": snapshot["program_sim_ms"],
-                    "boot_sim_ms": snapshot["boot_sim_ms"],
-                }
-            else:
-                if cache is not None:
-                    deploy_blob = cache.get_bytes(_deploy_key(spec))
-                    if deploy_blob is not None:
-                        self.provisioned = "cached"
-                self.system = MavrSystem(
-                    self.image,
-                    policy=policy,
-                    link=link,
-                    watchdog=watchdog,
-                    seed=spec.seed,
-                    telemetry=self.telemetry,
-                    engine=spec.engine,
-                    defense=spec.defense,
-                    deploy_blob=deploy_blob,
-                )
-                if cache is not None and deploy_blob is None:
-                    # publish the chip contents for the next worker; the
-                    # blob is exactly what deploy() stored, fallback
-                    # decisions included
-                    cache.put_bytes(
-                        _deploy_key(spec),
-                        self.system.master.external_flash.read_all(),
-                    )
-            if cache is not None:
-                self._ensure_base_reloc_index()
             self.autopilot = self.system.autopilot
         else:
             self.system = None
             self.autopilot = Autopilot(self.image, engine=spec.engine)
         self.profiler = None
         self.recorder = None
-
-    def _ensure_base_reloc_index(self) -> None:
-        """Keep the attacker-side randomize fast path armed off-preprocess.
-
-        On the cold path ``defense.preprocess`` attaches the relocation
-        index to the shared base image as a side effect; the cached and
-        warm paths skip preprocess, so the guessing/oracle attackers
-        (which randomize their own copy of the public binary) would fall
-        back to the slow patcher.  Attach it here instead — identical
-        content, built once per process per image.
-        """
-        if (
-            self.image.reloc_index is None
-            and self.spec.toolchain == "mavr"
-            and self.system is not None
-            and self.system.defense.requires_randomizable
-        ):
-            from ..binfmt.relocindex import build_relocation_index
-
-            self.image.reloc_index = build_relocation_index(self.image)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -647,13 +560,11 @@ def run_scenario(
     back to campaign parents as ``scenario.phase`` spans.
 
     ``cache`` (an :class:`~repro.sim.artifacts.ArtifactCache`, or a root
-    path for one) turns on the campaign fast path: builds, deploy blobs
-    and booted-board snapshots are shared across processes.  The cache
-    only ever changes host time — the result record and every
-    deterministic phase field are byte-identical with caching off, cold
-    or warm (a restored board replays the cold boot's recorded
-    ``sim_ms``, and the eligibility gate routes observer-carrying specs
-    to the cold path).
+    path for one) turns on the campaign fast path: builds and deploy
+    blobs are shared across processes.  Every board is still programmed
+    and booted, so the cache only ever changes host time — the result
+    record and every deterministic phase field are byte-identical with
+    caching off, on a cold cache, or on a primed one.
     """
     cache = get_cache(cache)
     host = time.perf_counter
@@ -667,7 +578,7 @@ def run_scenario(
     board, base = _build_board(spec, telemetry, cache)
     phases.record("preprocess", host() - start)
 
-    overhead_ms = _boot_with_phases(spec, board, phases, cache, telemetry)
+    overhead_ms = _boot_with_phases(board, phases)
 
     cpu = board.autopilot.cpu
     ms_per_cycle = 1000.0 / cpu.clock_hz
@@ -806,53 +717,32 @@ def _build_board(
     return Board(spec, telemetry, cache=cache), base
 
 
-def _boot_with_phases(
-    spec: ScenarioSpec,
-    board: Board,
-    phases: PhaseRecorder,
-    cache: Optional[ArtifactCache],
-    telemetry: Optional[Telemetry],
-) -> float:
+def _boot_with_phases(board: Board, phases: PhaseRecorder) -> float:
     """Program + boot one built board, recording the program/boot phases.
 
-    A warm-restored board replays the cold boot's recorded deterministic
-    ``sim_ms`` so the ``campaign.phases`` contract holds bit for bit; a
-    cold boot records the real split and publishes the booted-board
-    snapshot when the spec is eligible.  Shared by the single-board and
-    swarm runners — the operation order here is part of the byte-identity
-    contract.  Returns the startup overhead in ms.
+    The ISP's host and simulated programming time is split out of the
+    boot call, so both phases are measured on every board.  Shared by the
+    single-board and swarm runners — the operation order here is part of
+    the byte-identity contract.  Returns the startup overhead in ms.
     """
     host = time.perf_counter
     isp = board.system.master.isp if board.system is not None else None
-    if board.restored is not None:
-        overhead_ms = board.restored["overhead_ms"]
-        phases.record("program", 0.0, board.restored["program_sim_ms"])
-        phases.record("boot", 0.0, board.restored["boot_sim_ms"])
+    program_host = isp.host_program_s if isp is not None else 0.0
+    program_sim = isp.stats.total_programming_ms if isp is not None else 0.0
+    start = host()
+    overhead_ms = board.boot()
+    boot_host = host() - start
+    if isp is not None:
+        program_host = isp.host_program_s - program_host
+        program_sim = isp.stats.total_programming_ms - program_sim
     else:
-        program_host = isp.host_program_s if isp is not None else 0.0
-        program_sim = isp.stats.total_programming_ms if isp is not None else 0.0
-        start = host()
-        overhead_ms = board.boot()
-        boot_host = host() - start
-        if isp is not None:
-            program_host = isp.host_program_s - program_host
-            program_sim = isp.stats.total_programming_ms - program_sim
-        else:
-            program_host = program_sim = 0.0
-        phases.record("program", program_host, program_sim)
-        boot_sim_ms = max(overhead_ms - program_sim, 0.0)
-        phases.record("boot", max(boot_host - program_host, 0.0), boot_sim_ms)
-        if (
-            cache is not None
-            and board.system is not None
-            and _snapshot_eligible(spec, telemetry)
-            and board.system.master.current_image is not None
-        ):
-            snapshot = board.system.capture_snapshot()
-            snapshot["overhead_ms"] = overhead_ms
-            snapshot["program_sim_ms"] = program_sim
-            snapshot["boot_sim_ms"] = boot_sim_ms
-            cache.put_object(_board_key(spec), snapshot)
+        program_host = program_sim = 0.0
+    phases.record("program", program_host, program_sim)
+    phases.record(
+        "boot",
+        max(boot_host - program_host, 0.0),
+        max(overhead_ms - program_sim, 0.0),
+    )
     board.attach_observers()
     return overhead_ms
 

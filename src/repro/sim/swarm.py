@@ -3,12 +3,12 @@
 A :class:`SwarmSpec` is the fleet analogue of a
 :class:`~repro.sim.scenario.ScenarioSpec`: frozen, picklable, and a pure
 function of its fields, so swarm campaigns inherit the whole campaign
-fast path — process fan-out, artifact cache, warm board forks,
-checkpoints — without new runner code.  Each fleet member is
-expanded to a derived single-board spec (:meth:`SwarmSpec.board_spec`)
-whose seed comes from :func:`~repro.sim.scenario.derive_seed`, so board
-i's firmware build, deploy blob and booted-board snapshot are shared
-with every other campaign run that flies the same configuration.
+fast path — process fan-out, artifact cache, checkpoints — without new
+runner code.  Each fleet member is expanded to a derived single-board
+spec (:meth:`SwarmSpec.board_spec`) whose seed comes from
+:func:`~repro.sim.scenario.derive_seed`; every member shares the
+fleet's firmware build and deploy blob with every other campaign run
+that flies the same firmware and defense.
 
 The engagement itself is a
 :class:`~repro.mavlink.attacks.ProtocolSession`: deterministic
@@ -108,8 +108,8 @@ class SwarmSpec:
 
         ``attack=None``: the protocol attacker never touches the
         firmware, so each member's board is exactly the clean scenario
-        board — which is what lets the warm-fork snapshot and deploy
-        artifacts be shared with non-swarm campaigns.
+        board — which is what lets the build and deploy artifacts be
+        shared with non-swarm campaigns.
         """
         return ScenarioSpec(
             app=self.app,
@@ -141,10 +141,10 @@ def run_swarm_scenario(
     """Play one swarm spec end to end: boot the fleet, warm up, engage.
 
     Per-board lifecycle (build → preprocess → program/boot → warmup)
-    reuses the single-board helpers, so phase accounting, artifact
-    caching and warm-fork eligibility behave identically; the observe
-    window is one shared :class:`ProtocolSession` driving every board
-    tick-by-tick in deterministic interleaved order.
+    reuses the single-board helpers, so phase accounting and artifact
+    caching behave identically; the observe window is one shared
+    :class:`ProtocolSession` driving every board tick-by-tick in
+    deterministic interleaved order.
     """
     from ..mavlink.attacks import run_benign_session, run_protocol_attack
 
@@ -167,7 +167,7 @@ def run_swarm_scenario(
         # session's gcs.anomaly events go to the caller's handle instead
         board, _base = _build_board(sub, None, cache)
         phases.record("preprocess", host() - start)
-        overhead_ms += _boot_with_phases(sub, board, phases, cache, None)
+        overhead_ms += _boot_with_phases(board, phases)
         boards.append(board)
 
     def fleet_cycles() -> int:

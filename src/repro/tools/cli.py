@@ -875,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--cache-dir", metavar="DIR",
         help="content-addressed artifact cache shared by all workers "
-             "(build + preprocess once per image, warm board restore)",
+             "(build + preprocess once per image and defense)",
     )
     campaign.add_argument(
         "--checkpoint-dir", metavar="DIR",

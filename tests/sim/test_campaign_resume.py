@@ -125,3 +125,59 @@ def test_spec_digest_ignores_the_fault_marker(tmp_path):
     marked = specs_for(1, marker=str(tmp_path / "m"))[0]
     assert spec_digest(plain) == spec_digest(marked)
     assert spec_digest(plain) != spec_digest(specs_for(1, base_seed=18)[0])
+
+
+# -- torn checkpoint tails ---------------------------------------------------
+
+def quick_specs(n):
+    """Short clean flights: the checkpoint bookkeeping is under test."""
+    return [
+        ScenarioSpec(
+            app="testapp", seed=derive_seed(5, index, "board"),
+            warmup_ticks=2, observe_ticks=4, label=f"q{index}",
+        )
+        for index in range(n)
+    ]
+
+
+def _split_last_line(data):
+    """(everything before the last line, the last line with its newline)"""
+    start = data.rstrip(b"\n").rfind(b"\n") + 1
+    return data[:start], data[start:]
+
+
+def test_torn_last_line_replays_exactly_the_intact_lines(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    specs = quick_specs(3)
+    CampaignRunner(jobs=1, checkpoint_dir=ckpt).run(specs)
+    path = ckpt / "checkpoint.jsonl"
+    intact, last = _split_last_line(path.read_bytes())
+    runner = CampaignRunner(jobs=1, resume=True, checkpoint_dir=ckpt)
+    for keep in range(len(last)):
+        path.write_bytes(intact + last[:keep])
+        assert sorted(runner._load_checkpoints(specs)) == [0, 1], (
+            f"last line torn after {keep} bytes"
+        )
+        runner._trim_torn_tail()
+        assert path.read_bytes() == intact
+
+
+def test_resume_after_torn_line_then_resume_again_replays_everything(tmp_path):
+    ckpt = tmp_path / "ckpt"
+    specs = quick_specs(4)
+    CampaignRunner(jobs=1, checkpoint_dir=ckpt).run(specs[:2])
+    path = ckpt / "checkpoint.jsonl"
+    intact, last = _split_last_line(path.read_bytes())
+    path.write_bytes(intact + last[: len(last) // 2])
+
+    first = CampaignRunner(jobs=1, resume=True, checkpoint_dir=ckpt).run(specs)
+    assert first.runner["resumed"] == 1
+    second = CampaignRunner(
+        jobs=1, resume=True, checkpoint_dir=ckpt,
+        jsonl_path=tmp_path / "resumed.jsonl",
+    ).run(specs)
+    assert second.runner["resumed"] == 4
+    CampaignRunner(jobs=1, jsonl_path=tmp_path / "baseline.jsonl").run(specs)
+    assert (tmp_path / "resumed.jsonl").read_bytes() == (
+        tmp_path / "baseline.jsonl"
+    ).read_bytes()

@@ -1,17 +1,30 @@
-"""Warm board fork: cache provisioning tiers and the byte-identity contract.
+"""Cached provisioning: the artifact cache and the byte-identity contract.
 
 The artifact cache's whole claim is that it changes *host* time only:
 a scenario's deterministic record and its simulated phase times must be
 byte-identical whether the board was provisioned cold (full preprocess +
-ISP programming), from a cached deploy blob, or from a booted-board
-snapshot restored in a different process.  These tests pin that.
+deploy) or from a cached deploy blob read in a different process.
+Every board is still programmed and booted; what a process shares
+across boards is only seed-independent work — the parsed deploy blob
+and, for the attackers that randomize the public binary, its
+relocation index.  These tests pin that.
 """
+
+import dataclasses
+import importlib
 
 import pytest
 
+import repro.binfmt.relocindex as relocindex_mod
+import repro.core.master as master_mod
+import repro.core.patching as patching_mod
 import repro.sim.scenario as scenario_mod
+from repro.binfmt.image import FirmwareImage
 from repro.sim import Board, ScenarioSpec, run_scenario
 from repro.sim.artifacts import ArtifactCache
+
+# the package re-exports a function under the submodule's name
+preprocess_mod = importlib.import_module("repro.core.preprocess")
 
 
 def spec_for(**overrides):
@@ -26,47 +39,29 @@ def sim_phases(result):
     return {name: cell["sim_ms"] for name, cell in result.phases.items()}
 
 
-# -- byte-identity across provisioning tiers ---------------------------------
+def board_files(root):
+    return [p for p in root.iterdir() if p.name.startswith("board-")]
+
+
+# -- byte-identity across provisioning paths ---------------------------------
 
 @pytest.mark.parametrize("defense", ("mavr", "daedalus", "ctomp"))
 def test_cold_prime_warm_records_identical(tmp_path, defense):
     spec = spec_for(defense=defense)
     cold = run_scenario(spec, 3)
     prime = run_scenario(spec, 3, cache=ArtifactCache(tmp_path))
-    # a fresh cache instance (a different pool worker) restores from disk
-    warm_cache = ArtifactCache(tmp_path)
-    warm = run_scenario(spec, 3, cache=warm_cache)
-    assert warm_cache.hits.get("board") == 1
-    assert cold.to_record() == prime.to_record() == warm.to_record()
-    assert sim_phases(cold) == sim_phases(prime) == sim_phases(warm)
-
-
-def test_warm_restore_skips_programming_host_time(tmp_path):
-    spec = spec_for()
-    cache = ArtifactCache(tmp_path)
-    cold = run_scenario(spec, 0, cache=cache)
-    warm = run_scenario(spec, 0, cache=ArtifactCache(tmp_path))
-    setup = ("build", "preprocess", "program", "boot")
-    cold_setup = sum(cold.phases[name]["host_ms"] for name in setup)
-    warm_setup = sum(warm.phases[name]["host_ms"] for name in setup)
-    assert warm_setup < cold_setup
-    # the simulated ISP/boot time is replayed, not skipped
-    assert warm.phases["program"]["sim_ms"] == cold.phases["program"]["sim_ms"]
-
-
-# -- provisioning tiers ------------------------------------------------------
-
-def test_board_provisioning_tiers(tmp_path):
-    spec = spec_for()
-    assert Board(spec).provisioned == "cold"
-    cache = ArtifactCache(tmp_path)
-    run_scenario(spec, 0, cache=cache)  # primes deploy blob + snapshot
-    assert Board(spec, cache=cache).provisioned == "warm"
-    # snapshot-ineligible specs still reuse the deploy blob
-    observed = spec_for(telemetry=True)
-    board = Board(observed, cache=cache)
-    assert board.provisioned == "cached"
-    assert board.restored is None
+    # a fresh cache instance (a different pool worker) reads the deploy
+    # blob from disk; with the parsed-blob memo cleared it parses it too
+    master_mod._ORIGINAL_CACHE.clear()
+    fresh_cache = ArtifactCache(tmp_path)
+    cached = run_scenario(spec, 3, cache=fresh_cache)
+    assert fresh_cache.hits["deploy"] == 1
+    # ...and a second board in the same process reuses that parse
+    memoized = run_scenario(spec, 3, cache=ArtifactCache(tmp_path))
+    assert not board_files(tmp_path)
+    runs = (cold, prime, cached, memoized)
+    assert all(run.to_record() == cold.to_record() for run in runs)
+    assert all(sim_phases(run) == sim_phases(cold) for run in runs)
 
 
 def test_image_override_bypasses_cache(tmp_path):
@@ -74,32 +69,97 @@ def test_image_override_bypasses_cache(tmp_path):
     spec = spec_for()
     run_scenario(spec, 0, cache=cache)
     image = scenario_mod.load_spec_image(spec)
-    board = Board(spec, image=image, cache=cache)
-    assert board.provisioned == "cold"
+    before = cache.counts()
+    Board(spec, image=image, cache=cache)
+    assert cache.counts() == before  # nothing read, nothing published
 
 
 def test_ineligible_specs_write_no_board_snapshot(tmp_path):
+    """No spec writes a board snapshot, observed or not."""
     cache = ArtifactCache(tmp_path)
-    for ineligible in (
+    for spec in (
+        spec_for(),
         spec_for(telemetry=True),
         spec_for(profile="block"),
         spec_for(flight_recorder=True),
     ):
-        run_scenario(ineligible, 0, cache=cache)
-    assert not [p for p in tmp_path.iterdir() if p.name.startswith("board-")]
+        run_scenario(spec, 0, cache=cache)
+    assert not board_files(tmp_path)
     # ...but the firmware/deploy artifacts were still shared
     assert [p for p in tmp_path.iterdir() if p.name.startswith("deploy-")]
 
 
-def test_snapshot_key_includes_board_seed(tmp_path):
-    cache = ArtifactCache(tmp_path)
-    run_scenario(spec_for(seed=7), 0, cache=cache)
-    # a different board seed randomizes differently: its snapshot misses,
-    # so the scenario boots cold and stays correct
-    other = run_scenario(spec_for(seed=8), 0, cache=cache)
-    assert other.to_record() == run_scenario(spec_for(seed=8), 0).to_record()
-    boards = [p for p in tmp_path.iterdir() if p.name.startswith("board-")]
-    assert len(boards) == 2
+# -- per-process sharing of seed-independent work ----------------------------
+
+@pytest.fixture
+def fresh_worker_cache(tmp_path):
+    """A primed cache as a fresh pool worker sees it: the deploy blob on
+    disk, a build artifact published before any preprocess pass (so the
+    base image carries no relocation index), and no parsed blob yet."""
+    spec = spec_for()
+    run_scenario(spec, 0, cache=ArtifactCache(tmp_path))
+    image = dataclasses.replace(
+        scenario_mod.load_spec_image(spec), reloc_index=None
+    )
+    ArtifactCache(tmp_path).put_object(scenario_mod._build_key(spec), image)
+    master_mod._ORIGINAL_CACHE.clear()
+    return ArtifactCache(tmp_path)
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Count every relocation-index build, whichever module calls it."""
+    calls = []
+    real = relocindex_mod.build_relocation_index
+
+    def counting(image):
+        calls.append(image)
+        return real(image)
+
+    for module in (relocindex_mod, master_mod, preprocess_mod):
+        monkeypatch.setattr(module, "build_relocation_index", counting)
+    return calls
+
+
+def test_cached_boards_parse_the_deploy_blob_once(fresh_worker_cache, monkeypatch):
+    parses = []
+    real = FirmwareImage.from_flash_blob.__func__
+
+    def counting(cls, blob):
+        parses.append(len(blob))
+        return real(cls, blob)
+
+    monkeypatch.setattr(FirmwareImage, "from_flash_blob", classmethod(counting))
+    for seed in (21, 22):
+        Board(spec_for(seed=seed), cache=fresh_worker_cache).boot()
+    assert len(parses) == 1
+
+
+def test_cached_scenario_without_attack_builds_no_index(
+    fresh_worker_cache, index_builds
+):
+    result = run_scenario(
+        spec_for(attack=None, fault="wild_jump"), 0, cache=fresh_worker_cache
+    )
+    assert result.outcome != "error"
+    assert index_builds == []
+
+
+def test_cached_guess_randomizes_through_one_index_build(
+    fresh_worker_cache, index_builds, monkeypatch
+):
+    def streaming_patch(image, permutation):
+        raise AssertionError("the guess fell back to the streaming patcher")
+
+    monkeypatch.setattr(patching_mod, "patch_image", streaming_patch)
+    Board(spec_for(), cache=fresh_worker_cache)
+    assert index_builds == []  # building a board leaves the index alone
+    for seed in (7, 8):
+        result = run_scenario(
+            spec_for(seed=seed, attack_seed=seed), 0, cache=fresh_worker_cache
+        )
+        assert result.outcome != "error", result.error
+    assert len(index_builds) == 1
 
 
 # -- the bounded inline-image cache ------------------------------------------
