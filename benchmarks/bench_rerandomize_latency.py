@@ -1,12 +1,16 @@
 """Re-randomization latency: precomputed relocation index vs streaming patcher.
 
 Every attack detection triggers a full re-randomization (paper §V-C), so
-the patch pass sits on the recovery-latency critical path.  The legacy
-patcher re-decodes the whole instruction stream on every shuffle; the
-indexed fast path replays a precomputed patch-site list and touches only
-the words that actually need new targets.  This bench prices both on the
-largest paper application (ArduPlane, 917 functions) and verifies the
-fast path is byte-identical to the legacy one for every measured seed.
+the patch pass sits on the recovery-latency critical path.  The streaming
+patcher (the test oracle, ``tests/core/streaming_patcher.py``) re-decodes
+the whole instruction stream on every shuffle; the one production
+patcher replays a precomputed patch-site list and touches only the words
+that actually need new targets.  This bench prices both on the largest
+paper application (ArduPlane, 917 functions), verifies the production
+patcher is byte-identical to the oracle for every measured seed, and
+records the median whole ``MavrBackend.diversify`` call (shuffle, patch,
+symbol table and validation) — what one re-randomization costs the
+master.
 
 It also prices the second half of the fast path — differential page
 reflash — by programming an ATmega2560-sized flash twice and recording
@@ -14,9 +18,10 @@ how many pages (and wire bytes) the page-digest diff avoids retransferring.
 
 Results land in ``BENCH_rerandomize.json`` at the repo root.  The indexed
 patcher must stay at least 3x faster than the streaming patcher — that
-floor is asserted here, not just documented (measured: ~80x).
+floor is asserted here, not just documented (measured: ~100x).
 
-Run:  PYTHONPATH=src python -m pytest benchmarks/bench_rerandomize_latency.py -q -s
+Run from the repo root (the oracle is imported from ``tests``):
+  PYTHONPATH=src python -m pytest benchmarks/bench_rerandomize_latency.py -q -s
 Scale the seed count with REPRO_BENCH_RERANDOMIZE_SEEDS (default 3).
 """
 
@@ -27,13 +32,17 @@ import time
 from pathlib import Path
 
 from repro.binfmt import build_relocation_index
-from repro.core.patching import patch_image, patch_image_indexed
+from repro.core.defenses import MavrBackend
+from repro.core.patching import patch_image
 from repro.core.randomize import generate_permutation
 from repro.hw.isp import IspProgrammer
 from repro.avr.memory import FlashMemory
+from tests.core import streaming_patcher
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_rerandomize.json"
 SPEEDUP_FLOOR = 3.0
+#: whole diversify calls timed for the median
+DIVERSIFY_CALLS = 15
 
 
 def _seeds() -> list:
@@ -51,27 +60,35 @@ def test_rerandomize_latency(benchmark, arduplane):
     start = time.perf_counter()
     index = build_relocation_index(arduplane)
     index_build_ms = (time.perf_counter() - start) * 1e3
+    arduplane.reloc_index = index  # what the preprocessor ships
 
     legacy_ms, indexed_ms = [], []
     for seed in _seeds():
         permutation = generate_permutation(arduplane, random.Random(seed))
 
         start = time.perf_counter()
-        legacy = patch_image(arduplane, permutation)
+        legacy = streaming_patcher.patch_image(arduplane, permutation)
         legacy_ms.append((time.perf_counter() - start) * 1e3)
 
         start = time.perf_counter()
-        fast = patch_image_indexed(arduplane, permutation, index)
+        fast = patch_image(arduplane, permutation)
         indexed_ms.append((time.perf_counter() - start) * 1e3)
 
         assert fast == legacy, f"fast path diverged from legacy at seed {seed}"
 
     speedup = _median(legacy_ms) / _median(indexed_ms)
 
+    backend, rng = MavrBackend(), random.Random(0)
+    diversify_ms = []
+    for _ in range(DIVERSIFY_CALLS):
+        start = time.perf_counter()
+        backend.diversify(arduplane, rng)
+        diversify_ms.append((time.perf_counter() - start) * 1e3)
+
     # pytest-benchmark row: the indexed patcher at paper scale
     permutation = generate_permutation(arduplane, random.Random(0))
     benchmark.pedantic(
-        lambda: patch_image_indexed(arduplane, permutation, index),
+        lambda: patch_image(arduplane, permutation),
         rounds=3, iterations=1,
     )
 
@@ -82,7 +99,7 @@ def test_rerandomize_latency(benchmark, arduplane):
     isp.program(flash, arduplane.code)
     full_wire = isp.stats.last_bytes_on_wire
     full_prog_ms = isp.stats.last_programming_ms
-    isp.program(flash, patch_image_indexed(arduplane, permutation, index))
+    isp.program(flash, patch_image(arduplane, permutation))
     stats = isp.stats
     assert stats.differential_passes == 1
     assert stats.last_bytes_on_wire < full_wire
@@ -102,6 +119,7 @@ def test_rerandomize_latency(benchmark, arduplane):
             "indexed": round(_median(indexed_ms), 2),
         },
         "speedup": round(speedup, 1),
+        "diversify_ms": round(_median(diversify_ms), 2),
         "reflash": {
             "full_wire_bytes": full_wire,
             "full_programming_ms": round(full_prog_ms, 1),
@@ -121,6 +139,10 @@ def test_rerandomize_latency(benchmark, arduplane):
         f"indexed {results['patch_ms']['indexed']} ms "
         f"({results['speedup']}x); index {index.site_count} sites / "
         f"{index.byte_length()} bytes, built in {results['index']['build_ms']} ms"
+    )
+    print(
+        f"whole MavrBackend.diversify: {results['diversify_ms']} ms per call "
+        f"(median of {DIVERSIFY_CALLS})"
     )
     print(
         f"reflash: {stats.last_pages_written} pages rewritten, "

@@ -155,22 +155,6 @@ def _inject_variant(spec, board, base) -> AttackPlay:
     )
 
 
-def _index_public_binary(spec, base) -> None:
-    """Attach the relocation index the attacker's randomize step uses.
-
-    The guessing and oracle attackers randomize their own copy of the
-    public binary.  A board deployed from a cached blob, or one that is
-    not protected, never ran the preprocess pass that attaches the index
-    to ``base``, so build it here on first use: once per process per
-    image, identical content, and the indexed and streaming patchers
-    produce the same bytes.
-    """
-    if base.reloc_index is None and spec.toolchain == "mavr":
-        from ..binfmt.relocindex import build_relocation_index
-
-        base.reloc_index = build_relocation_index(base)
-
-
 def _inject_guess(spec, board, base) -> AttackPlay:
     """One wrong-layout replay: the §VII-A1 guessing attacker.
 
@@ -188,7 +172,6 @@ def _inject_guess(spec, board, base) -> AttackPlay:
     from .runtime_facts import derive_runtime_facts, variable_address
     from .v2_stealthy import StealthyAttack
 
-    _index_public_binary(spec, base)
     guess, _permutation = randomize_image(base, random.Random(spec.attack_seed))
     facts = derive_runtime_facts(base)  # stack geometry is layout-invariant
     exploit = StealthyAttack(guess, facts)
@@ -213,7 +196,6 @@ def _build_oracle_board(spec, telemetry, cache, base):
     from ..core import randomize_image
     from ..sim.scenario import Board
 
-    _index_public_binary(spec, base)
     randomized, _permutation = randomize_image(
         base, random.Random(spec.attack_seed)
     )

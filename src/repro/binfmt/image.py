@@ -107,7 +107,7 @@ class FirmwareImage:
         """Copy of this image with replaced code (and optionally symbols).
 
         The relocation index is dropped: it maps patch sites of the old
-        bytes and would silently mis-patch if applied to the new ones.
+        bytes, not the new ones.
         """
         return replace(
             self,
@@ -304,7 +304,7 @@ def _parse_trailing_index(tail: bytes, image: FirmwareImage):
 
     Containers written before the index existed simply end where the
     mandatory sections do, so an empty (or unrecognized) tail means "no
-    index" — the legacy streaming patcher remains the fallback.
+    index" — the patcher then builds one from the code on first use.
     """
     from .relocindex import INDEX_MAGIC, RelocationIndex
 

@@ -1,29 +1,28 @@
-"""Precomputed relocation index — the re-randomization fast path's map.
+"""Precomputed relocation index — the patcher's map of every patch site.
 
-The legacy patcher (:mod:`repro.core.patching`) re-decodes the whole
-``.text`` stream on *every* randomization to find the handful of
-instructions whose operands encode a layout-dependent address.  But the
-set of patch sites is a property of the *original* image, not of any
-particular permutation:
+Finding the handful of instructions whose operands encode a
+layout-dependent address takes a decode of the whole ``.text`` stream.
+But the set of patch sites is a property of the *original* image, not of
+any particular permutation:
 
 * absolute ``call``/``jmp`` whose target lies inside ``.text``;
 * ``rcall``/``rjmp`` whose target escapes the containing segment (the
   fixed vectors+init region, or one function block) — same-segment
   relative transfers move with their block and never need touching;
 * conditional branches never cross a segment in a randomizable build
-  (checked once here, exactly as the streaming patcher checks them on
-  every pass);
+  (checked once here; a build where one does cannot be randomized);
 * function-pointer slots in the data section (already listed in
   :attr:`FirmwareImage.funcptr_locations`).
 
 So the host-side preprocessor decodes the stream **once**, records the
-sites, and ships them with the image.  Re-randomization then degrades to
-an O(moves + patch-sites) fixup pass with no instruction decoding.
+sites, and ships them with the image.  Every re-randomization, whatever
+its layout, is then an O(moves + patch-sites) fixup pass
+(:func:`repro.core.patching.patch_image`) with no instruction decoding.
 
 The index is tied to the exact original code bytes: :meth:`matches`
 compares a CRC and the text bounds, so a stale index (tampered blob,
-edited image) is detected and the caller falls back to the streaming
-patcher rather than silently mis-patching.
+edited image) is detected and the patcher builds a fresh one from the
+image's own bytes rather than silently mis-patching.
 """
 
 from __future__ import annotations
@@ -161,9 +160,8 @@ def build_relocation_index(image: FirmwareImage) -> RelocationIndex:
     """The one full-stream decode: sweep every executable segment.
 
     Segments are the fixed region (vectors + ``__init``, which never
-    moves) and each function block — the same tiling the streaming
-    patcher walks, so a build failure here is the same failure the legacy
-    pass would hit on the first randomization.
+    moves) and each function block — the units a layout moves rigidly,
+    so a build failure here means the image cannot be randomized at all.
     """
     absolute: List[PatchSite] = []
     relative: List[PatchSite] = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import BinfmtError
@@ -72,6 +73,8 @@ class SymbolTable:
     def __init__(self, symbols: Iterable[Symbol] = ()) -> None:
         self._symbols: List[Symbol] = []
         self._by_name: Dict[str, Symbol] = {}
+        # function symbols in address order, built on first use
+        self._functions: Optional[List[Symbol]] = None
         for sym in symbols:
             self.add(sym)
 
@@ -82,6 +85,7 @@ class SymbolTable:
             raise BinfmtError(f"negative address/size for symbol {symbol.name}")
         self._symbols.append(symbol)
         self._by_name[symbol.name] = symbol
+        self._functions = None
 
     def __len__(self) -> int:
         return len(self._symbols)
@@ -100,12 +104,19 @@ class SymbolTable:
 
     def functions(self) -> List[Symbol]:
         """Function symbols in ascending address order (paper's block list)."""
-        funcs = [s for s in self._symbols if s.kind is SymbolKind.FUNC]
-        return sorted(funcs, key=lambda s: s.address)
+        return list(self._function_order())
+
+    def _function_order(self) -> List[Symbol]:
+        if self._functions is None:
+            func = SymbolKind.FUNC
+            funcs = [s for s in self._symbols if s.kind is func]
+            self._functions = sorted(funcs, key=attrgetter("address"))
+        return self._functions
 
     def objects(self) -> List[Symbol]:
-        objs = [s for s in self._symbols if s.kind is SymbolKind.OBJECT]
-        return sorted(objs, key=lambda s: s.address)
+        obj = SymbolKind.OBJECT
+        objs = [s for s in self._symbols if s.kind is obj]
+        return sorted(objs, key=attrgetter("address"))
 
     def function_containing(self, byte_address: int) -> Optional[Symbol]:
         """The function whose block covers ``byte_address``, if any.
@@ -114,7 +125,7 @@ class SymbolTable:
         address that is less than or equal to the targeted address"; this is
         that binary search.
         """
-        funcs = self.functions()
+        funcs = self._function_order()
         lo, hi = 0, len(funcs) - 1
         best: Optional[Symbol] = None
         while lo <= hi:
@@ -187,7 +198,7 @@ class SymbolTable:
         for randomization to be a clean permutation of blocks.
         """
         cursor = text_start
-        for sym in self.functions():
+        for sym in self._function_order():
             if sym.address != cursor:
                 raise BinfmtError(
                     f"function tiling broken at {sym.name}: expected "

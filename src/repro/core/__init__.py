@@ -23,7 +23,6 @@ from .padding import (
 )
 from .patching import (
     patch_image,
-    patch_image_indexed,
     randomize_image,
     verify_patched,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "MavrReport",
     "MavrSystem",
     "patch_image",
-    "patch_image_indexed",
     "randomize_image",
     "verify_patched",
     "EVERY_BOOT",

@@ -13,8 +13,8 @@ boot diversifies it, and what recovery after a detection costs.
   draws a fresh layout.  When the chip has free flash above the data
   section the sub-blocks scatter with stochastic gaps (the §VIII-B
   padding machinery); when ``.text`` already fills the chip — every
-  paper app — it falls back to the in-place sub-block shuffle through
-  the same relocation-index fast path MAVR uses.
+  paper app — it falls back to the in-place sub-block shuffle.  Both
+  placements go through the same indexed patcher MAVR uses.
 * ``ctomp`` — CToMP-style cycle-task memory protection: no layout
   secrecy at all.  The master checkpoints the task context (data space,
   PC, SREG) at every healthy watch pass and, on a detection, restores
@@ -82,9 +82,6 @@ class DefenseBackend:
     #: True: a detection is handled by re-diversify + reflash (the boot
     #: path); False: the master calls :meth:`recover` instead
     reflashes_on_detection = True
-    #: True: deployment requires a randomizable build (--no-relax etc.)
-    #: and a relocation index is worth building for re-randomization
-    requires_randomizable = True
 
     def __init__(self) -> None:
         self.stats = DefenseStats()
@@ -167,9 +164,10 @@ class DaedalusBackend(DefenseBackend):
     Granularity comes from :mod:`repro.core.splitting` (functions cut at
     every safe point, the relocation index carried over).  Placement is
     adaptive: scatter with stochastic gaps over the free flash when the
-    image leaves room (``testapp``); in-place sub-block shuffle through
-    the indexed fast path when ``.text`` fills the chip (every paper
-    app — the same headroom limit that made §VIII-B drop padding).
+    image leaves room (``testapp``); in-place sub-block shuffle when
+    ``.text`` fills the chip (every paper app — the same headroom limit
+    that made §VIII-B drop padding).  Either layout is one permutation
+    applied by the one indexed patcher.
     """
 
     name = "daedalus"
@@ -235,7 +233,6 @@ class CtompBackend(DefenseBackend):
 
     name = "ctomp"
     reflashes_on_detection = False
-    requires_randomizable = False
 
     def __init__(self) -> None:
         super().__init__()

@@ -17,7 +17,6 @@ from collections import OrderedDict
 from typing import List, Optional
 
 from ..binfmt.image import FirmwareImage
-from ..binfmt.relocindex import build_relocation_index
 from ..errors import DefenseError
 from ..hw.clock import SimClock
 from ..hw.flashchip import ExternalFlash
@@ -206,7 +205,7 @@ class MasterProcessor:
         if not self.external_flash.fits(len(blob)):
             # the chip is sized like the application flash; when a huge
             # image leaves no room for the relocation index, ship without
-            # it — the master rebuilds the index in RAM at first boot
+            # it — the patcher rebuilds the index in RAM on first use
             blob = image.to_flash_blob(include_index=False)
         self.external_flash.store(blob)
         self._original = None  # re-read the chip on next boot
@@ -230,10 +229,6 @@ class MasterProcessor:
                 raise DefenseError("no application deployed on the external flash")
             image = _parsed_blob(blob)
             self.backend.check_deployable(image)
-            if image.reloc_index is None and self.backend.requires_randomizable:
-                # legacy deployment (or an index squeezed off the chip):
-                # pay the full-stream decode once per parsed blob, in RAM
-                image.reloc_index = build_relocation_index(image)
             self._original = image
         return self._original
 

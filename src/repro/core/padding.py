@@ -11,8 +11,13 @@ anyway so the trade-off can be evaluated:
 * gaps are filled with erased-flash bytes (0xFF), which do not decode —
   a wild control transfer landing in a gap faults immediately instead of
   sliding;
-* the data section does not move, so data references stay valid and the
-  standard patcher handles all code targets through the block map.
+* the data section does not move, so data references stay valid.
+
+The layout is just another :class:`~repro.core.randomize.Permutation`:
+the one patcher (:func:`~repro.core.patching.patch_image`) grows the
+image to the scatter's extent, erases the vacated ``.text`` and applies
+the original image's relocation index — padding only appends erased
+bytes, so that index still covers every site.
 
 Costs: the image grows to the extent of the scatter (more bytes to
 transfer at boot — a direct Table II hit), bounded by the 256 KB flash.
@@ -21,14 +26,14 @@ transfer at boot — a direct Table II hit), bounded by the 256 KB flash.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from ..avr.memory import FLASH_SIZE
 from ..binfmt.image import FirmwareImage
-from ..binfmt.symtab import Symbol, SymbolKind, SymbolTable
 from ..errors import DefenseError
-from .patching import patch_image
-from .randomize import BlockMove, Permutation, moves_to_permutation
+from .patching import ERASED, patch_image
+from .randomize import BlockMove, Permutation, shuffled_symbol_table
 
 
 def generate_padded_permutation(
@@ -73,56 +78,51 @@ def generate_padded_permutation(
         cursor += symbol.size
     if cursor > flash_size:
         raise DefenseError("padded layout overflowed the flash (internal error)")
-    return moves_to_permutation(moves)
+    return Permutation(moves)
 
 
 def randomize_image_padded(
     image: FirmwareImage,
     rng: Optional[random.Random] = None,
     flash_size: int = FLASH_SIZE,
-    fill: int = 0xFF,
+    fill: int = ERASED,
 ) -> Tuple[FirmwareImage, Permutation]:
     """Produce a padded-randomized image.
 
-    The result's ``code`` extends to the highest placed block; gaps carry
-    ``fill`` (0xFF = erased flash, undecodable).  ``text_start``/
-    ``text_end`` are widened to bracket the scattered blocks so gadget
-    scans and patch sweeps stay meaningful.
+    The result's ``code`` extends to the highest placed block; the gaps
+    and the old ``.text`` carry ``fill`` (0xFF = erased flash,
+    undecodable).  ``text_end`` is widened to bracket the scattered
+    blocks so gadget scans stay meaningful.
     """
     permutation = generate_padded_permutation(image, rng, flash_size)
-    new_end = max(move.new_address + move.size for move in permutation.moves)
-
-    # grow the image: original content, erased fill above
-    keep = max(image.data_end, image.text_end)
-    grown = bytearray(image.code[:keep])
-    grown += bytes([fill & 0xFF]) * (new_end - len(grown))
-    base = image.with_code(bytes(grown))
-    patched = bytearray(patch_image(base, permutation))
-    # blank the old .text (it must not retain the original gadget bytes);
-    # every block now lives above data_end, so this erases only leftovers
-    for offset in range(image.text_start, image.text_end):
-        patched[offset] = fill & 0xFF
-    patched = bytes(patched)
-
-    table = SymbolTable()
-    for move in permutation.moves:
-        table.add(Symbol(move.name, move.new_address, move.size, SymbolKind.FUNC))
-    for symbol in image.symbols.objects():
-        table.add(symbol)
-
-    randomized = FirmwareImage(
-        code=patched,
-        symbols=table,
-        text_start=image.text_start,
-        text_end=new_end,
-        data_start=image.data_start,
-        data_end=image.data_end,
-        entry_symbol=image.entry_symbol,
-        funcptr_locations=list(image.funcptr_locations),
-        name=image.name,
-        toolchain_tag=image.toolchain_tag,
+    code = patch_image(image, permutation)
+    if fill & 0xFF != ERASED:
+        code = _repaint_gaps(code, image, permutation, fill & 0xFF)
+    randomized = replace(
+        image,
+        code=code,
+        symbols=shuffled_symbol_table(image, permutation),
+        text_end=permutation.new_end,
+        reloc_index=None,
     )
     return randomized, permutation
+
+
+def _repaint_gaps(
+    code: bytes, image: FirmwareImage, permutation: Permutation, fill: int
+) -> bytes:
+    """Replace the erased bytes the patcher left around the blocks."""
+    painted = bytearray(code)
+    gaps = [(image.text_start, image.text_end)]
+    cursor = max(image.data_end, image.text_end)
+    for start, end in sorted(
+        (m.new_address, m.new_address + m.size) for m in permutation.moves
+    ):
+        gaps.append((cursor, start))
+        cursor = end
+    for start, end in gaps:
+        painted[start:end] = bytes([fill]) * (end - start)
+    return bytes(painted)
 
 
 def padded_entropy_bits(image: FirmwareImage, flash_size: int = FLASH_SIZE,

@@ -7,114 +7,95 @@ layout must be fixed:
   targets that are not a function entry (switch-case trampolines, jumps
   into block interiors) are resolved with the binary search over old block
   addresses and an offset adjustment, exactly as the paper describes;
-* relative ``rcall``/``rjmp``/branches — unchanged when target and
-  instruction move together (same block); recomputed when they cross
-  blocks, with a range check (this is why MAVR requires ``--no-relax``:
-  a compiler-shortened cross-function call may not reach after a move);
+* relative ``rcall``/``rjmp`` — unchanged when target and instruction move
+  together (same block); recomputed when they cross blocks, with a range
+  check (this is why MAVR requires ``--no-relax``: a compiler-shortened
+  cross-function call may not reach after a move);
 * function pointers in the data section (vtables, call-routing tables) —
   their stored word addresses are rewritten in place.
 
-The pass streams the binary a block at a time, mirroring the master
-processor's "a few bytes at a time" random-access read of the external
-flash.
+One patcher applies every layout.  The instructions that need touching
+are a property of the original image, recorded once in its
+:class:`~repro.binfmt.relocindex.RelocationIndex` (the preprocessor's one
+full-stream decode), so a re-randomization is block copies plus operand
+rewrites at the recorded sites — no instruction decoding.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from typing import Optional, Tuple
 
 from ..avr.decoder import decode_at
-from ..avr.encoder import encode_bytes
-from ..avr.insn import Instruction, Mnemonic
+from ..avr.insn import Mnemonic
 from ..binfmt.image import FirmwareImage
-from ..binfmt.relocindex import RelocationIndex
-from ..errors import DecodeError, PatchError
+from ..binfmt.relocindex import (
+    KIND_CALL,
+    KIND_JMP,
+    KIND_RCALL,
+    KIND_RJMP,
+    RelocationIndex,
+    build_relocation_index,
+)
+from ..errors import DecodeError, EncodeError, PatchError
 from .randomize import Permutation, generate_permutation, shuffled_symbol_table
 
 M = Mnemonic
 
-_RELATIVE = {M.RCALL, M.RJMP}
-_BRANCHES = {M.BRBS, M.BRBC}
 _ABSOLUTE = {M.CALL, M.JMP}
+
+#: first-word opcode bits of each site kind; the operand is or-ed in
+_OPCODE = {
+    KIND_CALL: 0x940E, KIND_JMP: 0x940C, KIND_RCALL: 0xD000, KIND_RJMP: 0xC000,
+}
+
+#: erased flash: what a layout that grows the image fills its gaps with
+ERASED = 0xFF
+
+_WORD = struct.Struct("<H")
+_TWO_WORDS = struct.Struct("<HH")
 
 
 def randomize_image(
-    image: FirmwareImage,
-    rng: Optional[random.Random] = None,
-    use_index: bool = True,
+    image: FirmwareImage, rng: Optional[random.Random] = None
 ) -> Tuple[FirmwareImage, Permutation]:
-    """Shuffle + patch: the master processor's whole software job.
-
-    When the image carries a valid relocation index (built once by the
-    preprocessor) the patch step is the decode-free indexed fixup;
-    otherwise it falls back to the legacy streaming patcher.  Both paths
-    produce byte-identical output for the same permutation.
-    """
+    """Shuffle + patch: the master processor's whole software job."""
     permutation = generate_permutation(image, rng)
-    index = image.reloc_index if use_index else None
-    if index is not None and index.matches(image):
-        new_code = patch_image_indexed(image, permutation, index)
-    else:
-        new_code = patch_image(image, permutation)
-    new_symbols = shuffled_symbol_table(image, permutation)
     randomized = image.with_code(
-        new_code, symbols=new_symbols, toolchain_tag=image.toolchain_tag
+        patch_image(image, permutation),
+        symbols=shuffled_symbol_table(image, permutation),
     )
     randomized.validate()
     return randomized, permutation
 
 
 def patch_image(image: FirmwareImage, permutation: Permutation) -> bytes:
-    """Produce the randomized code bytes for ``permutation``."""
-    new_code = bytearray(image.code)
+    """Produce the code bytes of ``image`` laid out by ``permutation``.
 
-    # move every block to its new home
-    for move in permutation.moves:
-        block = image.code[move.old_address : move.old_address + move.size]
-        new_code[move.new_address : move.new_address + move.size] = block
-
-    # patch the fixed region (vectors + __init) in place; when the flash
-    # data section sits below .text, stop the sweep before it — data bytes
-    # are not instructions
-    fixed_end = min(image.text_start, image.data_start)
-    _patch_segment(image, permutation, new_code, 0, 0, fixed_end)
-    # patch every moved block at its new location
-    for move in permutation.moves:
-        _patch_segment(
-            image, permutation, new_code,
-            move.old_address, move.new_address, move.size,
-        )
-
-    _patch_funcptrs(image, permutation, new_code)
-    return bytes(new_code)
-
-
-def patch_image_indexed(
-    image: FirmwareImage,
-    permutation: Permutation,
-    index: Optional[RelocationIndex] = None,
-) -> bytes:
-    """Decode-free fixup pass: O(moves + patch-sites) instead of a full
-    instruction-stream decode.
-
-    The index was built from ``image``'s exact bytes (the preprocessor's
-    one-time sweep); applying it is block copies plus direct operand
-    rewrites at the recorded sites.  Output is byte-identical to
-    :func:`patch_image` for the same permutation — the differential test
-    suite pins this down across seeds and manifests.
+    Blocks are copied onto a buffer sized to the layout.  A layout that
+    keeps every block inside ``.text`` reuses the image's bytes around
+    it; one that places blocks past ``.text`` (the padded scatter) gets
+    a buffer extended with erased flash, and the ``.text`` it vacated is
+    erased too, so no old gadget bytes survive.  Then every indexed site
+    and every function-pointer slot is rewritten for the new layout.
     """
-    index = index if index is not None else image.reloc_index
-    if index is None:
-        raise PatchError("image carries no relocation index")
-    if not index.matches(image):
-        raise PatchError(
-            "relocation index is stale (code bytes or text bounds changed)"
-        )
-    new_code = bytearray(image.code)
+    index = _relocation_index(image)
+    code = image.code
+    source = memoryview(code)
+    layout_end = permutation.new_end
+    if layout_end > image.text_end:
+        content_end = max(image.data_end, image.text_end)
+        new_code = bytearray(source[:content_end])
+        new_code += bytes([ERASED]) * (layout_end - content_end)
+        text_size = image.text_end - image.text_start
+        new_code[image.text_start : image.text_end] = bytes([ERASED]) * text_size
+    else:
+        new_code = bytearray(code)
     for move in permutation.moves:
-        block = image.code[move.old_address : move.old_address + move.size]
-        new_code[move.new_address : move.new_address + move.size] = block
+        new_code[move.new_address : move.new_address + move.size] = source[
+            move.old_address : move.old_address + move.size
+        ]
 
     fixed_end = min(image.text_start, image.data_start)
     remap = permutation.new_address_of
@@ -139,8 +120,13 @@ def patch_image_indexed(
                 "every function block"
             )
         new_offset = site_position(site.offset)
-        patched = Instruction(site.mnemonic, k=new_target // 2)
-        new_code[new_offset : new_offset + 4] = encode_bytes(patched)
+        k = new_target >> 1
+        if k >= 1 << 22:
+            raise EncodeError(
+                f"{site.mnemonic.value}: target out of 22-bit range: {k}"
+            )
+        high = _OPCODE[site.kind] | ((k >> 17) & 0x1F) << 4 | (k >> 16) & 1
+        _TWO_WORDS.pack_into(new_code, new_offset, high, k & 0xFFFF)
 
     for site in index.relative_sites:
         new_offset = site_position(site.offset)
@@ -160,11 +146,25 @@ def patch_image_indexed(
                 f"reach 0x{new_target:05x} after randomization "
                 "(image must be built with --no-relax)"
             )
-        patched = Instruction(site.mnemonic, k=displacement)
-        new_code[new_offset : new_offset + 2] = encode_bytes(patched)
+        word = _OPCODE[site.kind] | displacement & 0xFFF
+        _WORD.pack_into(new_code, new_offset, word)
 
     _patch_funcptrs(image, permutation, new_code)
     return bytes(new_code)
+
+
+def _relocation_index(image: FirmwareImage) -> RelocationIndex:
+    """The image's relocation index, built from its own bytes on first use.
+
+    A preprocessed image carries one.  An image without one, or with one
+    that fails :meth:`RelocationIndex.matches` (built from other bytes),
+    gets an index built here and attached, so each image object pays the
+    full-stream decode at most once and a stale index is never applied.
+    """
+    index = image.reloc_index
+    if index is None or not index.matches(image):
+        index = image.reloc_index = build_relocation_index(image)
+    return index
 
 
 def _patch_funcptrs(
@@ -173,9 +173,8 @@ def _patch_funcptrs(
     """Rewrite function pointers embedded in the data section.
 
     Slots that point into the fixed region (trampoline stubs) stay as
-    they are — the stubs' jmps were already retargeted by the fixed-region
-    sweep.  Shared by the streaming and indexed patchers so their pointer
-    handling cannot drift apart.
+    they are — the stubs' jmps are indexed sites, retargeted with the
+    rest.
     """
     fixed_limit = min(image.text_start, image.data_start)
     for location in image.funcptr_locations:
@@ -197,107 +196,6 @@ def _patch_funcptrs(
             )
         new_code[location] = new_word & 0xFF
         new_code[location + 1] = (new_word >> 8) & 0xFF
-
-
-def _patch_segment(
-    image: FirmwareImage,
-    permutation: Permutation,
-    new_code: bytearray,
-    old_start: int,
-    new_start: int,
-    length: int,
-) -> None:
-    """Stream one executable segment, retargeting control transfers."""
-    offset = old_start
-    end = old_start + length
-    while offset + 1 < end:
-        try:
-            insn, size = decode_at(image.code, offset)
-        except DecodeError as exc:
-            raise PatchError(
-                f"undecodable word at 0x{offset:05x} inside an executable "
-                "segment; cannot patch"
-            ) from exc
-        new_offset = new_start + (offset - old_start)
-        mnemonic = insn.mnemonic
-
-        if mnemonic in _ABSOLUTE:
-            _patch_absolute(image, permutation, new_code, insn, offset, new_offset)
-        elif mnemonic in _RELATIVE:
-            _patch_relative(
-                image, permutation, new_code, insn,
-                offset, new_offset, old_start, end,
-            )
-        elif mnemonic in _BRANCHES:
-            _check_branch(insn, offset, old_start, end)
-        offset += size
-
-
-def _patch_absolute(
-    image: FirmwareImage,
-    permutation: Permutation,
-    new_code: bytearray,
-    insn: Instruction,
-    old_offset: int,
-    new_offset: int,
-) -> None:
-    old_target = insn.k * 2
-    if not image.text_start <= old_target < image.text_end:
-        return  # fixed-region target (vectors, bootloader): unchanged
-    new_target = permutation.new_address_of(old_target)
-    if new_target is None:
-        raise PatchError(
-            f"{insn.mnemonic.value} at 0x{old_offset:05x} targets "
-            f"0x{old_target:05x}, which is inside .text but outside every "
-            "function block"
-        )
-    patched = Instruction(insn.mnemonic, k=new_target // 2)
-    new_code[new_offset : new_offset + 4] = encode_bytes(patched)
-
-
-def _patch_relative(
-    image: FirmwareImage,
-    permutation: Permutation,
-    new_code: bytearray,
-    insn: Instruction,
-    old_offset: int,
-    new_offset: int,
-    segment_start: int,
-    segment_end: int,
-) -> None:
-    old_target = old_offset + 2 + insn.k * 2
-    if segment_start <= old_target < segment_end:
-        return  # moves with the block; displacement still correct
-    # a cross-block relative transfer: retarget from the new position
-    if image.text_start <= old_target < image.text_end:
-        new_target = permutation.new_address_of(old_target)
-        if new_target is None:
-            raise PatchError(
-                f"{insn.mnemonic.value} at 0x{old_offset:05x} escapes its "
-                "block into unmapped .text"
-            )
-    else:
-        new_target = old_target  # fixed region does not move
-    displacement = (new_target - (new_offset + 2)) // 2
-    if not -2048 <= displacement <= 2047:
-        raise PatchError(
-            f"relaxed {insn.mnemonic.value} at 0x{old_offset:05x} cannot "
-            f"reach 0x{new_target:05x} after randomization "
-            "(image must be built with --no-relax)"
-        )
-    patched = Instruction(insn.mnemonic, k=displacement)
-    new_code[new_offset : new_offset + 2] = encode_bytes(patched)
-
-
-def _check_branch(
-    insn: Instruction, old_offset: int, segment_start: int, segment_end: int
-) -> None:
-    old_target = old_offset + 2 + insn.k * 2
-    if not segment_start <= old_target < segment_end:
-        raise PatchError(
-            f"conditional branch at 0x{old_offset:05x} crosses a block "
-            "boundary; cannot be retargeted within 7 bits"
-        )
 
 
 def verify_patched(

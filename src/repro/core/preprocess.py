@@ -58,8 +58,8 @@ def preprocess(
     This is where the expensive full-stream decode happens — exactly
     once, on the host.  The resulting relocation index ships inside the
     HEX so every later re-randomization on the master is a decode-free
-    fixup pass.  ``build_index=False`` reproduces the legacy format
-    (masters fall back to the streaming patcher).
+    fixup pass.  ``build_index=False`` reproduces the legacy format (the
+    master's patcher then builds the index in RAM on first use).
     """
     check_randomizable(image)
     image.validate()

@@ -4,22 +4,28 @@ The master processor reads the function list in ascending address order
 and shuffles a copy to create a map of old addresses to new addresses.
 Function blocks keep their sizes; only their order within ``.text``
 changes, so the shuffled layout is a permutation of the original tiling.
+
+Every layout is a :class:`Permutation`: this packed shuffle, the padded
+scatter of :mod:`repro.core.padding`, and either of them over a DAEDALUS
+sub-block re-tiling.  One patcher (:func:`repro.core.patching.patch_image`)
+applies any of them.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import List, NamedTuple, Optional
 
 from ..binfmt.image import FirmwareImage
 from ..binfmt.symtab import Symbol, SymbolKind, SymbolTable
 from ..errors import DefenseError
 
 
-@dataclass(frozen=True)
-class BlockMove:
+class BlockMove(NamedTuple):
     """One function block's relocation."""
 
     name: str
@@ -35,10 +41,10 @@ class Permutation:
     moves: List[BlockMove]
 
     def __post_init__(self) -> None:
-        self._by_old: Dict[int, BlockMove] = {m.old_address: m for m in self.moves}
         self._old_sorted: List[BlockMove] = sorted(
-            self.moves, key=lambda m: m.old_address
+            self.moves, key=attrgetter("old_address")
         )
+        self._old_starts: List[int] = [m.old_address for m in self._old_sorted]
 
     def new_address_of(self, old_byte_address: int) -> Optional[int]:
         """Translate any old .text byte address to its new location.
@@ -47,19 +53,19 @@ class Permutation:
         handling: "the largest old symbol address that is less than or
         equal to the targeted address"), then apply the block offset.
         """
-        blocks = self._old_sorted
-        lo, hi = 0, len(blocks) - 1
-        best: Optional[BlockMove] = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if blocks[mid].old_address <= old_byte_address:
-                best = blocks[mid]
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        if best is None or old_byte_address >= best.old_address + best.size:
+        position = bisect_right(self._old_starts, old_byte_address) - 1
+        if position < 0:
             return None
-        return best.new_address + (old_byte_address - best.old_address)
+        best = self._old_sorted[position]
+        offset = old_byte_address - best.old_address
+        if offset >= best.size:
+            return None
+        return best.new_address + offset
+
+    @property
+    def new_end(self) -> int:
+        """One past the highest byte any block lands on."""
+        return max((m.new_address + m.size for m in self.moves), default=0)
 
     def move_for(self, name: str) -> BlockMove:
         for move in self.moves:
@@ -81,10 +87,9 @@ def generate_permutation(
 ) -> Permutation:
     """Shuffle the image's function order into a new layout."""
     rng = rng if rng is not None else random.Random()
-    functions = image.symbols.functions()
-    if not functions:
+    order = image.symbols.functions()
+    if not order:
         raise DefenseError("image has no function symbols to shuffle")
-    order = list(functions)
     rng.shuffle(order)
     moves: List[BlockMove] = []
     cursor = image.text_start
@@ -96,21 +101,17 @@ def generate_permutation(
             f"shuffled blocks cover [{image.text_start:#x}, {cursor:#x}), "
             f"expected to end at {image.text_end:#x}"
         )
-    return moves_to_permutation(moves)
-
-
-def moves_to_permutation(moves: List[BlockMove]) -> Permutation:
     return Permutation(moves)
 
 
 def shuffled_symbol_table(image: FirmwareImage, permutation: Permutation) -> SymbolTable:
-    """Symbol table describing the randomized layout."""
-    table = SymbolTable()
-    for move in permutation.moves:
-        table.add(Symbol(move.name, move.new_address, move.size, SymbolKind.FUNC))
-    for symbol in image.symbols.objects():
-        table.add(symbol)
-    return table
+    """Symbol table describing the randomized layout (any layout)."""
+    func = SymbolKind.FUNC
+    functions = [
+        Symbol(move.name, move.new_address, move.size, func)
+        for move in permutation.moves
+    ]
+    return SymbolTable(functions + image.symbols.objects())
 
 
 def permutation_count(function_count: int) -> int:

@@ -119,8 +119,8 @@ def split_image_blocks(image: FirmwareImage) -> FirmwareImage:
     """Copy of ``image`` re-tiled at sub-block granularity.
 
     The code bytes are identical, so the relocation index carries over
-    (unlike :meth:`FirmwareImage.with_code`, which must drop it) and the
-    indexed patcher's fast path stays available for every later shuffle.
+    (unlike :meth:`FirmwareImage.with_code`, which must drop it) and no
+    later shuffle of the split has to rebuild it.
     """
     split = replace(image, symbols=split_symbol_table(image))
     split.validate()

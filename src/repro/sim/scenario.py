@@ -21,6 +21,7 @@ serial and parallel campaign runs bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from collections import OrderedDict
@@ -31,6 +32,7 @@ from ..attack.registry import attack_kind, attack_names
 from ..avr.engine import DEFAULT_ENGINE
 from ..avr.profile import PROFILE_MODES
 from ..binfmt.image import FirmwareImage
+from ..binfmt.symtab import Symbol, SymbolTable
 from ..core.defenses import DEFENSE_BACKENDS
 from ..telemetry import Telemetry, jsonable
 from .artifacts import ArtifactCache, artifact_key, get_cache
@@ -206,7 +208,27 @@ def _firmware_fields(spec: ScenarioSpec) -> dict:
 
 
 def _build_key(spec: ScenarioSpec) -> str:
-    return artifact_key("build", **_firmware_fields(spec))
+    return artifact_key("build", layout=_build_layout(), **_firmware_fields(spec))
+
+
+def _build_layout() -> str:
+    """Fingerprint of the instance layouts a pickled build artifact holds.
+
+    A build artifact is a pickled :class:`FirmwareImage`.  One written
+    under an older layout of these classes unpickles fine into objects
+    that lack attributes the current code reads, so the layouts (dataclass
+    field names, and the attributes of a fresh :class:`SymbolTable`) are
+    part of the key: a layout change addresses a new file.
+    """
+    from ..binfmt.relocindex import PatchSite, RelocationIndex
+
+    layouts = [
+        (cls.__name__, [f.name for f in dataclasses.fields(cls)])
+        for cls in (FirmwareImage, Symbol, RelocationIndex, PatchSite)
+    ]
+    layouts.append((SymbolTable.__name__, sorted(vars(SymbolTable()))))
+    digest = hashlib.blake2b(repr(layouts).encode("utf-8"), digest_size=8)
+    return digest.hexdigest()
 
 
 def _deploy_key(spec: ScenarioSpec) -> str:

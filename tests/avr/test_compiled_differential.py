@@ -4,7 +4,11 @@ Generated programs mix ALU runs, forward branches, skips, counted loops,
 ``rcall``/``ret`` subroutines, pushes/pops, ``in``/``out``/``sbi``/``cbi``
 (SREG and SPL included) and ``lds``/``sts``/``ld``/``st``/``ldd``/``std``
 against write-hooked, read-hooked and plain SRAM addresses, registers,
-SREG and SPL/SPH.  They also drive SP to the edges of the guarded stack
+SREG and SPL/SPH.  Indirect transfers load Z with an absolute word
+address, resolved per copy: ``icall`` into a subroutine, subroutines
+that tail-call a later one with ``ijmp``, and an ``ijmp`` onto the
+operand word of a two-word ``lds``/``sts``, which then runs as an
+instruction of its own.  They also drive SP to the edges of the guarded stack
 range (around 0x5F/0x60 and RAMEND) before a push, pop, call or return,
 and store to a peripheral whose write hook requests an interrupt, with
 and without ``sei`` first.  Each program is loaded at two base addresses
@@ -179,15 +183,32 @@ def irq_op(draw):
 
 
 @st.composite
+def operand_landing(draw):
+    """An ``ijmp`` onto the second word of a two-word ``lds``/``sts``: the
+    address operand then executes as an instruction."""
+    address = draw(st.sampled_from(ADDRESSES + CONSTANT_ONLY))
+    if draw(st.booleans()):
+        access = I(M.STS, k=address, rr=draw(st.integers(0, 31)))
+    else:
+        access = I(M.LDS, rd=draw(st.sampled_from(WRITABLE)), k=address)
+    return [("ijmp_operand", access)]
+
+
+@st.composite
 def item(draw, subs):
-    """A main-line item: straight code, a forward branch, a call, a push or
-    pop, a stack-edge access or an interrupt-requesting store.  Branch and
-    call operands are symbolic until layout."""
-    kind = draw(st.integers(0, 11))
+    """A main-line item: straight code, a forward branch, a direct or
+    indirect call, a push or pop, a stack-edge access, an
+    interrupt-requesting store or a jump onto an operand word.  Branch,
+    call and Z operands are symbolic until layout."""
+    kind = draw(st.integers(0, 13))
     if kind == 10:
         return draw(sp_edge_op(subs))
     if kind == 11:
         return draw(irq_op())
+    if kind == 12 and subs:
+        return [("icall", draw(st.integers(0, subs - 1)))]
+    if kind == 13:
+        return draw(operand_landing())
     if kind <= 4:
         return draw(straight_item())
     if kind == 5:
@@ -217,16 +238,21 @@ def programs(draw):
             main.append(draw(item(subs)))
     routines = [draw(st.lists(straight_item(), min_size=1, max_size=3))
                 for _ in range(subs)]
-    return assemble(main, routines)
+    # each subroutine returns, or tail-calls a later one through ijmp
+    tails = [draw(st.integers(index + 1, subs)) for index in range(subs)]
+    return assemble(main, routines, tails)
 
 
-def assemble(main, routines):
-    """Lay out symbolic items into a position-independent instruction list.
+def assemble(main, routines, tails=()):
+    """Lay out symbolic items into an instruction list.
 
     ``main`` entries are items (lists of instructions / symbolic ops) or
     ``("loop", count, [items])``.  A forward branch skips whole entries of
     its own sequence (clamped to the sequence's end); calls are relative;
-    the code ends in ``break`` followed by the subroutines.
+    the code ends in ``break`` followed by the subroutines.  Subroutine
+    ``i`` ends in ``ret`` unless ``tails[i]`` names a later one to
+    ``ijmp`` into.  Z loads stay ``("zlo"|"zhi", word offset)`` until
+    :func:`at_base` resolves them for one copy.
     """
     out = []  # instructions or symbolic ops, in layout order
     fixups = []  # (index in out, op, index of the branch target in out)
@@ -247,17 +273,31 @@ def assemble(main, routines):
                 for op in entry:
                     if isinstance(op, tuple) and op[0] in ("rjmp", "branch"):
                         fixups.append((len(out), op, (len(starts) - 1, starts)))
-                    out.append(op)
+                    if isinstance(op, tuple) and op[0] == "icall":
+                        out.extend(load_z(("sub", op[1])) + [I(M.ICALL)])
+                    elif isinstance(op, tuple) and op[0] == "ijmp_operand":
+                        # the access sits three slots on; land on its word 2
+                        out.extend(load_z(("slot", len(out) + 3, 1)))
+                        out.extend([I(M.IJMP), op[1]])
+                    else:
+                        out.append(op)
         starts.append(len(out))
+
+    def load_z(target):
+        return [("zlo", target), ("zhi", target)]
 
     emit(main)
     out.append(I(M.BREAK))
     sub_starts = []
-    for routine in routines:
+    for index, routine in enumerate(routines):
         sub_starts.append(len(out))
         for unit in routine:
             out.extend(unit)
-        out.append(I(M.RET))
+        tail = tails[index] if index < len(tails) else len(routines)
+        if tail < len(routines):
+            out.extend(load_z(("sub", tail)) + [I(M.IJMP)])
+        else:
+            out.append(I(M.RET))
 
     # word address of every slot (two-word lds/sts shift the rest)
     words = []
@@ -269,6 +309,12 @@ def assemble(main, routines):
     for index, op in enumerate(out):
         if isinstance(op, tuple) and op[0] == "rcall":
             out[index] = I(M.RCALL, k=words[sub_starts[op[1]]] - words[index] - 1)
+        elif isinstance(op, tuple) and op[0] in ("zlo", "zhi"):
+            kind, target = op
+            if target[0] == "sub":
+                out[index] = (kind, words[sub_starts[target[1]]])
+            else:
+                out[index] = (kind, words[target[1]] + target[2])
     for index, op, target in fixups:
         if op[0] == "loop":  # back-edge: brne to the loop head
             out[index] = I(M.BRBC, b=1, k=words[target] - words[index] - 1)
@@ -283,10 +329,25 @@ def assemble(main, routines):
     return out
 
 
+def at_base(program, base):
+    """``program`` as loaded at word ``base``: each Z load gets the
+    absolute word address of its target in this copy."""
+    resolved = []
+    for op in program:
+        if isinstance(op, tuple):
+            kind, offset = op
+            address = base + offset
+            resolved.append(I(M.LDI, rd=30, k=address & 0xFF) if kind == "zlo"
+                            else I(M.LDI, rd=31, k=address >> 8))
+        else:
+            resolved.append(op)
+    return resolved
+
+
 def _core(program, base, engine, threshold=None):
     cpu = AvrCpu(engine=engine)
     cpu.load_program(encode_stream([I(M.RETI)]), offset=IRQ_VECTOR * 4)
-    cpu.load_program(encode_stream(program), offset=base * 2)
+    cpu.load_program(encode_stream(at_base(program, base)), offset=base * 2)
     cpu.code_limit = IRQ_VECTOR * 4 + 2
     cpu.reset()
     cpu.pc = base
@@ -452,3 +513,24 @@ def test_second_core_runs_the_first_cores_bodies():
     assert engines[0].compiled_built > 0
     assert engines[1].compiled_built == 0
     check_program(program, [3, 5], 1)
+
+
+def test_indirect_chain_and_operand_landing_match_interpreter():
+    """``icall`` into a subroutine that tail-calls the next one through
+    ``ijmp``, then an ``ijmp`` onto the operand word of an ``lds`` (0x0300
+    runs as ``mulsu r16, r16``), at both bases on every tier."""
+    program = assemble(
+        [("loop", 3, [[("icall", 0)],
+                      [("ijmp_operand", I(M.LDS, rd=18, k=0x0300))],
+                      [I(M.INC, rd=16)]])],
+        [[[I(M.INC, rd=17)]], [[I(M.INC, rd=19)]]],
+        tails=[1, 2],
+    )
+    for base in BASES:
+        cpu, _ = _core(program, base, "interpreter")
+        cpu.run(500)
+        assert cpu.halted
+        assert [cpu.data.read_reg(r) for r in (16, 17, 19)] == [3, 3, 3]
+        assert cpu.data.read_reg(18) == 0  # the lds itself never ran
+    for threshold in THRESHOLDS:
+        check_program(program, [3, 5], threshold)

@@ -15,6 +15,8 @@ from repro.errors import DefenseError
 from repro.mavlink.messages import PARAM_SET
 from repro.uav import Autopilot, AutopilotStatus, MaliciousGroundStation
 
+from .streaming_patcher import oracle_bytes
+
 FLASH_64K = 64 * 1024
 
 
@@ -111,6 +113,17 @@ def test_padded_needs_free_flash(testapp):
         generate_padded_permutation(
             testapp, random.Random(0), flash_size=testapp.size + 256
         )
+
+
+@pytest.mark.parametrize("fill", [0xFF, 0x00])
+def test_padded_fill_matches_streaming_oracle(testapp, fill):
+    """Gaps and the vacated ``.text`` carry ``fill`` exactly where the
+    streaming pipeline put it, erased flash or not."""
+    randomized, permutation = randomize_image_padded(
+        testapp, random.Random(7), flash_size=FLASH_64K, fill=fill
+    )
+    assert randomized.code == oracle_bytes(testapp, permutation, fill)
+    assert set(randomized.code[testapp.text_start : testapp.text_end]) == {fill}
 
 
 def test_padded_size_cost(testapp):

@@ -1,5 +1,5 @@
-"""Relocation index: build, serialization, staleness, and the fast path's
-byte-for-byte equivalence with the legacy streaming patcher."""
+"""Relocation index: build, serialization, staleness, and the patcher's
+byte-for-byte equivalence with the streaming oracle."""
 
 import random
 
@@ -8,9 +8,10 @@ import pytest
 from repro.binfmt import FirmwareImage, RelocationIndex, build_relocation_index
 from repro.binfmt.relocindex import KIND_CALL, KIND_JMP, KIND_RCALL, KIND_RJMP
 from repro.core import preprocess, preprocess_report, randomize_image
-from repro.core.patching import patch_image, patch_image_indexed
+from repro.core.patching import patch_image
 from repro.core.randomize import generate_permutation
-from repro.errors import PatchError
+
+from . import streaming_patcher
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +35,10 @@ def test_index_finds_sites(index, testapp):
 def test_indexed_patch_equals_legacy(index, testapp):
     for seed in range(5):
         permutation = generate_permutation(testapp, random.Random(seed))
-        assert patch_image_indexed(testapp, permutation, index) == patch_image(
+        assert patch_image(testapp, permutation) == streaming_patcher.patch_image(
             testapp, permutation
         )
+    assert testapp.reloc_index == index
 
 
 def test_index_serialization_roundtrip(index, testapp):
@@ -54,11 +56,14 @@ def test_index_rides_preprocessed_hex_and_flash_blob(testapp):
     from_blob = FirmwareImage.from_flash_blob(from_hex.to_flash_blob())
     assert from_blob.reloc_index is not None
     assert from_blob.reloc_index.matches(from_blob)
-    # the master-side reconstruction patches identically through the index
+    # the master-side reconstruction patches identically through the
+    # index it carries, without building another
+    carried = from_blob.reloc_index
     permutation = generate_permutation(from_blob, random.Random(3))
-    assert patch_image_indexed(from_blob, permutation) == patch_image(
+    assert patch_image(from_blob, permutation) == streaming_patcher.patch_image(
         from_blob, permutation
     )
+    assert from_blob.reloc_index is carried
 
 
 def test_legacy_containers_without_index_still_parse(testapp):
@@ -67,19 +72,31 @@ def test_legacy_containers_without_index_still_parse(testapp):
     assert from_hex.reloc_index is None
     blob = from_hex.to_flash_blob(include_index=False)
     assert FirmwareImage.from_flash_blob(blob).reloc_index is None
-    # randomize_image falls back to the streaming patcher
+    # the patcher builds the index from the image's own bytes on first use
     randomized, _ = randomize_image(from_hex, random.Random(9))
     randomized.validate()
+    assert from_hex.reloc_index is not None
+    assert from_hex.reloc_index.matches(from_hex)
 
 
 def test_stale_index_is_rejected(index, testapp):
+    """A stale attached index is rebuilt from the image's bytes, never
+    applied: retarget one indexed call, and the output must follow the
+    call's new target, not the one the stale index recorded."""
+    site = index.absolute_sites[0]
+    other = next(f for f in testapp.functions() if f.address != site.target)
     tampered = bytearray(testapp.code)
-    tampered[testapp.text_start] ^= 0xFF
+    tampered[site.offset + 2 : site.offset + 4] = (other.address // 2).to_bytes(
+        2, "little"
+    )
     stale = testapp.with_code(bytes(tampered))
+    stale.reloc_index = index
     assert not index.matches(stale)
     permutation = generate_permutation(stale, random.Random(0))
-    with pytest.raises(PatchError):
-        patch_image_indexed(stale, permutation, index)
+    patched = patch_image(stale, permutation)
+    assert patched == streaming_patcher.patch_image(stale, permutation)
+    assert stale.reloc_index is not index
+    assert stale.reloc_index.matches(stale)
 
 
 def test_with_code_drops_index(testapp):

@@ -2,9 +2,9 @@
 
 Differential guarantees pinned here:
 
-* the indexed patcher's output is byte-identical to the legacy streaming
-  patcher for the same permutation, across seeds and all three paper
-  applications;
+* the indexed patcher's output is byte-identical to the streaming
+  oracle (``tests/core/streaming_patcher.py``) for the same permutation,
+  across seeds and all three paper applications;
 * a differential reflash moves strictly fewer bytes over the ISP wire
   than the full transfer while leaving the flash byte-identical to a
   full reprogram;
@@ -18,11 +18,11 @@ import random
 import pytest
 
 from repro.asm.linker import MAVR_OPTIONS
-from repro.binfmt import build_relocation_index
 from repro.core import MavrSystem
-from repro.core.patching import patch_image, patch_image_indexed
+from repro.core.patching import patch_image
 from repro.core.randomize import generate_permutation
 from repro.firmware import ALL_APPS, build_app
+from tests.core import streaming_patcher
 
 SEEDS = (11, 22, 33)
 
@@ -35,11 +35,10 @@ def paper_app(request):
 
 def test_fastpath_matches_legacy_across_seeds(paper_app):
     """Acceptance: >= 3 seeds x 3 app manifests, byte-identical output."""
-    index = build_relocation_index(paper_app)
     for seed in SEEDS:
         permutation = generate_permutation(paper_app, random.Random(seed))
-        fast = patch_image_indexed(paper_app, permutation, index)
-        legacy = patch_image(paper_app, permutation)
+        fast = patch_image(paper_app, permutation)
+        legacy = streaming_patcher.patch_image(paper_app, permutation)
         assert fast == legacy, (paper_app.name, seed)
 
 

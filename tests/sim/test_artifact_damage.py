@@ -4,14 +4,20 @@ Each cache file carries a BLAKE2b digest of its payload.  A file cut
 short at any byte, or with a byte flipped anywhere, must read as a miss
 so the scenario takes the cold path and emits the record an uncached
 run emits.  The per-offset sweeps run at the cache level; one scenario
-per damage class checks the end-to-end fallback.
+per damage class checks the end-to-end fallback.  A build pickle that is
+intact but was written under an older layout of the pickled classes is
+never read back either.
 """
 
 import pickle
 
 import pytest
 
+import repro.core.master as master_mod
+import repro.firmware.apps as apps_mod
+import repro.sim.artifacts as artifacts_mod
 from repro.binfmt.image import FirmwareImage
+from repro.binfmt.symtab import SymbolTable
 from repro.sim import Board, ScenarioSpec, run_scenario
 from repro.sim.artifacts import DIGEST_SIZE, ArtifactCache, artifact_key
 from repro.sim.scenario import load_spec_image
@@ -114,3 +120,34 @@ def test_damaged_deploy_file_falls_back_to_cold_path(
     assert result.to_record() == uncached_record
     # the cold path republished an intact blob
     assert ArtifactCache(tmp_path).get_bytes(path.name) == payloads["deploy"]
+
+
+def test_build_pickled_under_an_older_class_layout_is_a_miss(
+    tmp_path, uncached_record, monkeypatch
+):
+    run_scenario(SPEC, 0, cache=ArtifactCache(tmp_path))  # prime
+    # a later version of SymbolTable grows an attribute functions() reads;
+    # the primed pickle holds tables without it
+    real_init, real_functions = SymbolTable.__init__, SymbolTable.functions
+
+    def init(self, symbols=()):
+        self._layout_probe = True
+        real_init(self, symbols)
+
+    def functions(self):
+        assert self._layout_probe
+        return real_functions(self)
+
+    monkeypatch.setattr(SymbolTable, "__init__", init)
+    monkeypatch.setattr(SymbolTable, "functions", functions)
+    # ...and runs in a new process: nothing built or parsed in memory
+    monkeypatch.setattr(apps_mod, "_CACHE", {})
+    monkeypatch.setattr(
+        master_mod, "_ORIGINAL_CACHE", type(master_mod._ORIGINAL_CACHE)()
+    )
+    monkeypatch.setattr(artifacts_mod, "_CACHES", {})
+
+    cache = ArtifactCache(tmp_path)
+    result = run_scenario(SPEC, 0, cache=cache)
+    assert result.to_record() == uncached_record
+    assert cache.misses.get("build") == 1

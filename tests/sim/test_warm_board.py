@@ -116,7 +116,7 @@ def index_builds(monkeypatch):
         calls.append(image)
         return real(image)
 
-    for module in (relocindex_mod, master_mod, preprocess_mod):
+    for module in (relocindex_mod, patching_mod, preprocess_mod):
         monkeypatch.setattr(module, "build_relocation_index", counting)
     return calls
 
@@ -146,12 +146,8 @@ def test_cached_scenario_without_attack_builds_no_index(
 
 
 def test_cached_guess_randomizes_through_one_index_build(
-    fresh_worker_cache, index_builds, monkeypatch
+    fresh_worker_cache, index_builds
 ):
-    def streaming_patch(image, permutation):
-        raise AssertionError("the guess fell back to the streaming patcher")
-
-    monkeypatch.setattr(patching_mod, "patch_image", streaming_patch)
     Board(spec_for(), cache=fresh_worker_cache)
     assert index_builds == []  # building a board leaves the index alone
     for seed in (7, 8):
