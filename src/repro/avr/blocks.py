@@ -25,16 +25,16 @@ Cold-tier rule (:func:`is_terminator`; a run's last instruction is its
 * ``break``/``sleep``; and
 * a fixed fuse cap (:data:`FUSE_CAP`) as a backstop.
 
-Hot-tier rule (:func:`ends_hot_block`, used by :func:`fuse`): the same,
-except that ``sts k``, ``out a`` and ``push`` fuse through.  A compiled
-body runs them as a plain byte store behind a run-time guard that no
-hook sits on the address (and, for ``push``, that the byte lies in
-``[0x60, 0x2200)``).  When the guard fails, the body calls the
-handler's own method with exact counters and leaves right after that
-instruction.  What still ends a hot block: ``sts`` to a register
-(``k < 0x20``), to SREG (``0x5F``) or out of range (``k >= 0x2200``);
-``out`` to SREG; ``st*``/``std*``; ``sbi``/``cbi``; control flow; ``sei``;
-``break``/``sleep``; and :data:`FUSE_CAP`.
+Hot-tier rule (:func:`ends_hot_block`, stored in each decode entry and
+read by :func:`fuse`): the same, except that ``sts k``, ``out a`` and
+``push`` fuse through.  A compiled body runs them as a plain byte store
+behind a run-time guard that no hook sits on the address (and, for
+``push``, that the byte lies in ``[0x60, 0x2200)``).  When the guard
+fails, the body calls the handler's own method with exact counters and
+leaves right after that instruction.  What still ends a hot block:
+``sts`` to a register (``k < 0x20``), to SREG (``0x5F``) or out of range
+(``k >= 0x2200``); ``out`` to SREG; ``st*``/``std*``; ``sbi``/``cbi``;
+control flow; ``sei``; ``break``/``sleep``; and :data:`FUSE_CAP`.
 
 Interrupt-latency model: interrupts latch at any time but are serviced
 only at block boundaries, which bounds service latency at ``FUSE_CAP``
@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from ..errors import IllegalExecutionError
+from ..errors import IllegalExecutionError, MemoryAccessError
 from .engine import Handler
 from .insn import CONTROL_FLOW, Instruction, Mnemonic
 from .iospace import SREG_DATA, SREG_IO
@@ -103,8 +103,10 @@ SYNC = 2
 
 # One decoded flash word as the compiled engine caches it: (handler,
 # instruction, size in words, base cycle cost, ends a cold run — True,
-# False, or :data:`SYNC` for a read-capable instruction).
-Decoded = Tuple[Handler, Instruction, int, int, int]
+# False, or :data:`SYNC` for a read-capable instruction — and ends a hot
+# block, :func:`ends_hot_block`).  Both rules are evaluated once per
+# distinct encoding, when the entry is built.
+Decoded = Tuple[Handler, Instruction, int, int, int, bool]
 
 
 def is_terminator(insn: Instruction) -> bool:
@@ -161,11 +163,11 @@ class Superblock:
 
     def __init__(self, start: int, entries: List[Tuple[int, Decoded]]) -> None:
         self.start = start
-        last_pc, (last_handler, last_insn, last_size, last_base, _) = entries[-1]
+        last_pc, (last_handler, last_insn, last_size, last_base, _, _) = entries[-1]
         body = []
         meta = []
         cycles = 0
-        for pc, (handler, insn, size, base, _) in entries[:-1]:
+        for pc, (handler, insn, size, base, _, _) in entries[:-1]:
             body.append((handler, insn))
             meta.append((pc + size, pc * 2, cycles))
             cycles += base
@@ -185,13 +187,15 @@ def fuse(
 ) -> Superblock:
     """Fuse the hot-tier superblock that begins at ``start_pc``.
 
-    Fusion stops after the first instruction :func:`ends_hot_block`
-    accepts, or at :data:`FUSE_CAP`.  ``fetch`` returns the decoded entry at a word address.  The first
-    entry's decode errors propagate — they are exactly what per-
-    instruction execution would raise at this PC.  Errors on *later*
-    words, or reaching the image ``limit`` (bytes), just stop fusion: the
-    offending address becomes its own block head and raises the identical
-    error when the PC actually reaches it.
+    Fusion stops after the first instruction whose entry has the
+    :func:`ends_hot_block` flag set, or at :data:`FUSE_CAP`.  ``fetch``
+    returns the decoded entry at a word address.  The first entry's
+    decode errors propagate — they are exactly what per-instruction
+    execution would raise at this PC.  Errors on *later* words (an
+    undecodable word, a PC past the end of flash, a two-word opcode in
+    the last flash word), or reaching the image ``limit`` (bytes), just
+    stop fusion: the offending address becomes its own block head and
+    raises the identical error when the PC actually reaches it.
     """
     entries: List[Tuple[int, Decoded]] = []
     pc = start_pc
@@ -201,12 +205,12 @@ def fuse(
                 break
             try:
                 entry = fetch(pc)
-            except IllegalExecutionError:
+            except (IllegalExecutionError, MemoryAccessError):
                 break
         else:
             entry = fetch(pc)
         entries.append((pc, entry))
         pc += entry[2]
-        if ends_hot_block(entry[1]) or len(entries) >= FUSE_CAP:
+        if entry[5] or len(entries) >= FUSE_CAP:
             break
     return Superblock(start_pc, entries)

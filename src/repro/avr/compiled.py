@@ -31,8 +31,17 @@ generations, boards and scenarios:
   that included the entry address or an absolute target would miss on
   nearly every generation; this key keeps hitting, and one body serves
   every layout, every generation and every core in the process.
-* **Decode memo** (:data:`DECODE_MEMO`), keyed by ``(word, next_word)``:
-  re-decoding moved code after a reflash is a lookup, not a decode.
+* **Decode memo** (:data:`DECODE_MEMO`), keyed by the instruction's
+  bytes as one int, ``word | next_word << 16`` (``next_word`` is 0 for a
+  one-word instruction): re-decoding moved code after a reflash is a
+  lookup, not a decode.  An entry carries both tiers' fusion flags, so
+  fusing reads a field instead of re-evaluating the rules.
+
+A flash-generation switch costs only what the new generation runs: the
+per-generation decode cache is a dict keyed by word address, cleared in
+place, and a miss reads the flash bytes directly (behind
+``FlashMemory.read_word``'s range check and errors) and looks its key up
+in the memo.
 
 Specialization rules of a compiled body:
 
@@ -75,7 +84,7 @@ Correctness envelope (pinned by the interpreter-vs-compiled lockstep,
 differential and end-state tests at the default threshold, all-hot and
 all-cold):
 
-* the decode cache, head counts and fused blocks are dropped on every
+* the decode cache, head counts and fused blocks are cleared on every
   ``FlashMemory.generation`` change, so a reflash or SPM self-write can
   never execute a stale decode; shared bodies are keyed by content, so
   they can never be stale;
@@ -107,6 +116,7 @@ from .blocks import (
     SYNC,
     Decoded,
     Superblock,
+    ends_hot_block,
     fuse,
     is_terminator,
 )
@@ -1091,36 +1101,38 @@ class SharedCache:
 # blocks whose bytes carry a moved absolute target (``call``/``jmp``); the
 # LRU keeps the shared ones hot while layouts that never recur age out.
 BODY_CACHE = SharedCache(1024)
-# Decoded entries by (word, next_word): a whole ArduPlane image has ~4,200
-# distinct ones, so the bound holds any image's working set.
-DECODE_MEMO = SharedCache(8192)
+# Decoded entries by ``word | next_word << 16``.  A whole ArduPlane image
+# has ~4,200 distinct ones, so the bound holds any image's working set; a
+# hit does no bookkeeping, and a memo that fills up starts over.
+DECODE_MEMO: Dict[int, Decoded] = {}
+_DECODE_MEMO_LIMIT = 8192
 
 
-def _decoded(word: int, next_word: Optional[int], byte_addr: int) -> Decoded:
-    """The memoized decode entry for one instruction's bytes."""
-    key = (word, next_word)
-    entry = DECODE_MEMO.get(key)
-    if entry is None:
-        try:
-            insn = decode(word, next_word, byte_addr)
-        except DecodeError as exc:
-            raise IllegalExecutionError(
-                f"undecodable opcode 0x{word:04x} at 0x{byte_addr:05x}"
-            ) from exc
-        mnemonic = insn.mnemonic
-        if is_terminator(insn):
-            ends = True
-        else:
-            ends = SYNC if mnemonic in READ_CAPABLE else False
-        entry = (
-            HANDLERS[mnemonic],
-            insn,
-            insn.size_words,
-            CYCLES_BY_MNEMONIC[mnemonic],
-            ends,
-        )
-        DECODE_MEMO.put(key, entry)
-    return entry
+def _decode_entry(word: int, next_word: int, byte_addr: int) -> Decoded:
+    """A fresh decode entry for one instruction's bytes (a memo miss).
+
+    ``next_word`` is only read for a two-word opcode.  An undecodable
+    word raises the interpreter's :class:`IllegalExecutionError`.
+    """
+    try:
+        insn = decode(word, next_word, byte_addr)
+    except DecodeError as exc:
+        raise IllegalExecutionError(
+            f"undecodable opcode 0x{word:04x} at 0x{byte_addr:05x}"
+        ) from exc
+    mnemonic = insn.mnemonic
+    if is_terminator(insn):
+        ends = True
+    else:
+        ends = SYNC if mnemonic in READ_CAPABLE else False
+    return (
+        HANDLERS[mnemonic],
+        insn,
+        insn.size_words,
+        CYCLES_BY_MNEMONIC[mnemonic],
+        ends,
+        ends_hot_block(insn),
+    )
 
 
 # -- the engine ---------------------------------------------------------------
@@ -1138,18 +1150,19 @@ class CompiledEngine:
     def __init__(self, cpu) -> None:
         self.cpu = cpu
         self._generation: Optional[int] = None
-        # per-generation state, dropped together on every flash write
-        self._cache: List[Optional[Decoded]] = []  # decode entry per word
+        # per-generation state, cleared together on every flash write
+        self._cache: Dict[int, Decoded] = {}  # word address -> decode entry
         self._heads: Dict[int, int] = {}  # head -> entries this generation
         self._blocks: Dict[int, Superblock] = {}  # fused heads
         self._hot: Dict[int, tuple] = {}  # head -> (body, count, block, target)
         # the image limit the fused blocks were cut at (they never cross it)
         self._limit: Optional[int] = None
         # telemetry accumulators, sampled pull-style at snapshot time.
-        # Decode misses count every trip through ``_entry_at`` (cold
-        # cache slot or out-of-cache PC); cache hits are derived at
-        # snapshot time as ``instructions_retired - decode_misses``.
-        self.rebuilds = 0  # decode-cache (re)allocations
+        # Decode misses count every trip through ``_entry_at`` (a word
+        # not yet decoded in this generation, or one that fails to
+        # decode); cache hits are derived at snapshot time as
+        # ``instructions_retired - decode_misses``.
+        self.rebuilds = 0  # decode-cache resets, one per flash generation
         self.decode_misses = 0
         self.blocks_built = 0  # heads fused into superblocks
         self.fusion_lengths: List[int] = []  # append-only build log
@@ -1168,18 +1181,20 @@ class CompiledEngine:
 
     # -- per-generation state -----------------------------------------------
 
-    def _sync_cache(self) -> List[Optional[Decoded]]:
-        """Drop every per-generation structure if flash changed."""
+    def _sync_cache(self) -> None:
+        """Drop every per-generation structure if flash changed.
+
+        Each is cleared in place: a reflash allocates nothing, and the
+        run loops' locals stay bound to them.
+        """
         flash = self.cpu.flash
         if flash.generation != self._generation:
-            self._cache = [None] * (flash.size // 2)
-            # cleared in place so hot-loop locals stay bound to them
+            self._cache.clear()
             self._heads.clear()
             self._blocks.clear()
             self._hot.clear()
             self._generation = flash.generation
             self.rebuilds += 1
-        return self._cache
 
     def _sync_limit(self) -> Optional[int]:
         """Drop fused and hot blocks if the image limit moved under them."""
@@ -1191,25 +1206,43 @@ class CompiledEngine:
         return limit
 
     def _entry_at(self, pc: int) -> Decoded:
-        """Decode one entry exactly as :meth:`AvrCpu.fetch` would."""
+        """Decode the word at ``pc`` as :meth:`AvrCpu.fetch` would and
+        cache the entry for this generation.
+
+        Both words are read straight from the flash bytes; the last flash
+        word and anything outside flash go through
+        ``FlashMemory.read_word``, so its range errors reach the caller
+        exactly as the interpreter raises them.
+        """
         self.decode_misses += 1
         flash = self.cpu.flash
-        try:
-            word = flash.read_word(pc)
-        except MemoryAccessError as exc:
-            raise IllegalExecutionError(str(exc)) from exc
-        next_word = flash.read_word(pc + 1) if needs_second_word(word) else None
-        return _decoded(word, next_word, pc * 2)
+        at = pc * 2
+        next_word = 0
+        if 0 <= at < flash.size - 3:
+            raw = flash._bytes
+            word = raw[at] | raw[at + 1] << 8
+            if needs_second_word(word):
+                next_word = raw[at + 2] | raw[at + 3] << 8
+        else:
+            try:
+                word = flash.read_word(pc)
+            except MemoryAccessError as exc:
+                raise IllegalExecutionError(str(exc)) from exc
+            if needs_second_word(word):
+                next_word = flash.read_word(pc + 1)
+        key = word | next_word << 16
+        entry = DECODE_MEMO.get(key)
+        if entry is None:
+            entry = _decode_entry(word, next_word, at)
+            if len(DECODE_MEMO) >= _DECODE_MEMO_LIMIT:
+                DECODE_MEMO.clear()
+            DECODE_MEMO[key] = entry
+        self._cache[pc] = entry
+        return entry
 
     def _fetch(self, pc: int) -> Decoded:
         """One decode entry, through the per-generation cache."""
-        cache = self._cache
-        if 0 <= pc < len(cache):
-            entry = cache[pc]
-            if entry is None:
-                entry = cache[pc] = self._entry_at(pc)
-            return entry
-        return self._entry_at(pc)
+        return self._cache.get(pc) or self._entry_at(pc)
 
     def fetch_entry(self) -> Entry:
         """The entry at PC for :meth:`AvrCpu.step`."""
@@ -1295,23 +1328,17 @@ class CompiledEngine:
         """
         cpu = self.cpu
         flash = cpu.flash
-        cache = self._sync_cache()
-        cache_len = len(cache)
-        hooks = cpu.trace_hooks
+        self._sync_cache()
+        cache_get = self._cache.get
         entry_at = self._entry_at
+        hooks = cpu.trace_hooks
         executed = 0
         while not cpu.halted and executed < max_instructions:
             pc = retire_preamble(cpu)
             if flash.generation != self._generation:
-                cache = self._sync_cache()
-                cache_len = len(cache)
-            if 0 <= pc < cache_len:
-                entry = cache[pc]
-                if entry is None:
-                    entry = cache[pc] = entry_at(pc)
-            else:
-                entry = entry_at(pc)
-            handler, insn, size_words, base_cycles, _ = entry
+                self._sync_cache()
+            entry = cache_get(pc) or entry_at(pc)
+            handler, insn, size_words, base_cycles, _, _ = entry
             cpu.pc = pc + size_words
             try:
                 handler(cpu, insn)
@@ -1339,10 +1366,10 @@ class CompiledEngine:
         flash = cpu.flash
         sreg = cpu.sreg
         buf = cpu.data._bytes
-        cache = self._sync_cache()
-        cache_len = len(cache)
+        self._sync_cache()
         generation = self._generation
         fused_limit = self._sync_limit()
+        cache_get = self._cache.get
         heads = self._heads
         hot_get = self._hot.get
         entry_at = self._entry_at
@@ -1361,8 +1388,7 @@ class CompiledEngine:
                     cpu._service_interrupt()
                 pc = cpu.pc
                 if flash.generation != generation:
-                    cache = self._sync_cache()
-                    cache_len = len(cache)
+                    self._sync_cache()
                     generation = self._generation
                 hot = hot_get(pc)
                 limit = cpu.code_limit
@@ -1421,7 +1447,7 @@ class CompiledEngine:
                 settled = 0  # of which already added to instructions_retired
                 cycles = 0  # not yet added to cpu.cycles
                 while True:
-                    entry = cache[pc] if 0 <= pc < cache_len else None
+                    entry = cache_get(pc)
                     if entry is None:
                         try:
                             entry = entry_at(pc)
@@ -1430,9 +1456,7 @@ class CompiledEngine:
                             cpu.cycles += cycles
                             cpu.instructions_retired += retired - settled
                             raise
-                        if 0 <= pc < cache_len:
-                            cache[pc] = entry
-                    handler, insn, size, base, ends = entry
+                    handler, insn, size, base, ends, _ = entry
                     retired += 1
                     if ends:
                         if ends != SYNC or retired == stop:

@@ -16,6 +16,13 @@ from typing import Deque, List, Optional, Tuple
 
 from .cpu import AvrCpu
 from .iospace import (
+    BOOT_BIT,
+    EEARH_DATA,
+    EEARL_DATA,
+    EECR_DATA,
+    EEDR_DATA,
+    EEPE_BIT,
+    EERE_BIT,
     FEED_BIT,
     FEED_PORT,
     IO_TO_DATA_OFFSET,
@@ -80,16 +87,12 @@ class EepromController:
     """
 
     def __init__(self, cpu: AvrCpu) -> None:
-        from .iospace import EECR_DATA, EEDR_DATA, EEARL_DATA, EEARH_DATA
-
         self._cpu = cpu
         self.reads = 0
         self.writes = 0
         cpu.data.add_write_hook(EECR_DATA, self._on_control)
 
     def _on_control(self, _address: int, value: int) -> int:
-        from .iospace import EEARH_DATA, EEARL_DATA, EEDR_DATA, EEPE_BIT, EERE_BIT
-
         data = self._cpu.data
         address = data.read(EEARL_DATA) | (data.read(EEARH_DATA) << 8)
         strobes = (1 << EEPE_BIT) | (1 << EERE_BIT)
@@ -128,8 +131,6 @@ class FeedLine:
         cpu.data.add_write_hook(FEED_PORT + IO_TO_DATA_OFFSET, self._on_write)
 
     def _on_write(self, _address: int, value: int) -> None:
-        from .iospace import BOOT_BIT
-
         level = bool(value & (1 << FEED_BIT))
         if level != self._last_level:
             self.events.append((self._cpu.cycles, level))

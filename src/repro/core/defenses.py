@@ -29,6 +29,7 @@ distinct in one registry.
 from __future__ import annotations
 
 import random
+from collections import OrderedDict
 from typing import Optional, Tuple
 
 from ..avr.memory import DATA_SPACE_SIZE, FLASH_SIZE, RAMEND, SRAM_BASE
@@ -51,6 +52,25 @@ DEFENSE_BACKENDS = ("mavr", "daedalus", "ctomp")
 #: context back into SRAM, far below any ISP transfer
 CTOMP_RESTORE_BASE_MS = 0.2
 CTOMP_RESTORE_BYTES_PER_MS = 8192.0
+
+#: DAEDALUS re-tilings by source image object: a bounded LRU shared by
+#: every backend in the process, so all boards flying one parsed image
+#: split it once.  Each entry holds its source image, so the ``id`` key
+#: cannot be reused while the entry lives.
+_SPLITS: "OrderedDict[int, Tuple[FirmwareImage, FirmwareImage]]" = OrderedDict()
+_SPLITS_LIMIT = 8
+
+
+def _split_once(image: FirmwareImage) -> FirmwareImage:
+    key = id(image)
+    entry = _SPLITS.get(key)
+    if entry is None or entry[0] is not image:
+        entry = _SPLITS[key] = (image, split_image_blocks(image))
+    else:
+        _SPLITS.move_to_end(key)
+    while len(_SPLITS) > _SPLITS_LIMIT:
+        _SPLITS.popitem(last=False)
+    return entry[1]
 
 
 class DefenseStats(StatsView):
@@ -175,13 +195,11 @@ class DaedalusBackend(DefenseBackend):
     def __init__(self, flash_size: int = FLASH_SIZE) -> None:
         super().__init__()
         self.flash_size = flash_size
-        self._split_of: Optional[Tuple[FirmwareImage, FirmwareImage]] = None
 
     def split(self, image: FirmwareImage) -> FirmwareImage:
-        """The sub-block re-tiling of ``image`` (cached per source)."""
-        if self._split_of is None or self._split_of[0] is not image:
-            self._split_of = (image, split_image_blocks(image))
-        return self._split_of[1]
+        """The sub-block re-tiling of ``image`` (once per source image
+        object and process)."""
+        return _split_once(image)
 
     def scatters(self, image: FirmwareImage) -> bool:
         """Is there enough free flash to place blocks with random gaps?"""

@@ -15,13 +15,17 @@ and without ``sei`` first.  Each program is loaded at two base addresses
 on two cores — the swarm shape: the second core's blocks have the same
 bytes at other addresses, so they run the first core's compiled bodies —
 and the cores run alternately in small ``run(n)`` chunks, with hooks on
-stack and SRAM bytes added or removed between chunks.  After every chunk
-each core must match an interpreter running the same program at the
-same base, with no trace hooks attached: registers, SREG, SP, PC,
-cycles, retired count, halt flag, interrupt state, the whole data space,
-the hook log (with the counters each hook saw) and any fault.  The
-compiled side runs at threshold 1 (every head hot at once), at the
-default threshold and with the threshold never reached (all cold).
+stack and SRAM bytes added or removed between chunks, and with flash
+generation switches between chunks: the copy reloaded with its own bytes,
+or one of its words rewritten through ``FlashMemory.write_word``, each
+with a filled decode cache, fused blocks and hot bindings in place.
+After every chunk each core must match an interpreter running the same
+program at the same base, with no trace hooks attached: registers,
+SREG, SP, PC, cycles, retired count, halt flag, interrupt state, the
+whole data space, the hook log (with the counters each hook saw) and
+any fault.  The compiled side runs at threshold 1 (every head hot at
+once), at the default threshold and with the threshold never reached
+(all cold).
 """
 
 import itertools
@@ -30,7 +34,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.avr import AvrCpu, CompiledEngine, Instruction, Mnemonic, encode_stream
+from repro.avr import (
+    AvrCpu,
+    CompiledEngine,
+    Instruction,
+    Mnemonic,
+    encode,
+    encode_stream,
+)
 from repro.avr.compiled import BODY_CACHE
 from repro.avr.memory import DATA_SPACE_SIZE, RAMEND
 from repro.errors import AvrError
@@ -390,6 +401,17 @@ def _toggle(cpu, kind, address):
         hooks[address] = hook
 
 
+def _reflash(cpu, event, base, words):
+    """Apply a generation switch to the copy of ``words`` words at
+    ``base``: ``("reload",)`` writes its own bytes back, ``("rewrite",
+    offset, insn)`` overwrites word ``offset % words`` with ``insn``."""
+    if event[0] == "reload":
+        cpu.flash.load(cpu.flash.dump(base * 2, words * 2), base * 2)
+    else:
+        _, offset, insn = event
+        cpu.flash.write_word(base + offset % words, encode(insn)[0])
+
+
 def _state(cpu, log):
     return (
         cpu.pc, cpu.data.sp, cpu.sreg.byte, cpu.cycles,
@@ -407,26 +429,34 @@ def _run_chunk(cpu, n):
     return None
 
 
-def check_program(program, chunks, threshold, budget=3000, toggles=()):
+def check_program(program, chunks, threshold, budget=3000, toggles=(),
+                  reflashes=()):
     """Both bases on both engines, alternately, chunk by chunk, until every
     core halts or faults or has retired ``budget`` instructions.  Before
     chunk ``i`` the hook ``toggles[i % len(toggles)]`` (if any; ``None``
-    toggles nothing) flips on both engines of the core about to run."""
+    toggles nothing) flips, and the generation switch
+    ``reflashes[i % len(reflashes)]`` (see :func:`_reflash`; ``None``
+    switches nothing) applies, on both engines of the core about to run."""
+    words = len(encode_stream(at_base(program, 0))) // 2
     cores = []
     for base in BASES:
         reference = _core(program, base, "interpreter")
         subject = _core(program, base, "compiled", threshold)
-        cores.append([reference, subject, False])
+        cores.append([reference, subject, False, base])
     for step, n in enumerate(itertools.cycle(chunks)):
         live = [core for core in cores if not core[2]]
         if not live:
             return
         core = live[step % len(live)]
-        (reference, ref_log), (subject, sub_log), _ = core
+        (reference, ref_log), (subject, sub_log), _, base = core
         toggle = toggles[step % len(toggles)] if toggles else None
         if toggle is not None:
             _toggle(reference, *toggle)
             _toggle(subject, *toggle)
+        event = reflashes[step % len(reflashes)] if reflashes else None
+        if event is not None:
+            _reflash(reference, event, base, words)
+            _reflash(subject, event, base, words)
         ref_fault = _run_chunk(reference, n)
         sub_fault = _run_chunk(subject, n)
         assert sub_fault == ref_fault
@@ -438,13 +468,21 @@ def check_program(program, chunks, threshold, budget=3000, toggles=()):
 chunk_lists = st.lists(st.integers(1, 40), min_size=1, max_size=6)
 toggle_lists = st.lists(st.one_of(st.none(), st.sampled_from(TOGGLES)),
                         max_size=6)
+reflash_lists = st.lists(
+    st.one_of(st.none(), st.just(("reload",)),
+              st.tuples(st.just("rewrite"), st.integers(0, 255), alu_op())),
+    max_size=6,
+)
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS, ids=("hot", "default", "cold"))
 @settings(max_examples=25, deadline=None)
-@given(program=programs(), chunks=chunk_lists, toggles=toggle_lists)
-def test_shared_bodies_match_interpreter(threshold, program, chunks, toggles):
-    check_program(program, chunks, threshold, toggles=toggles)
+@given(program=programs(), chunks=chunk_lists, toggles=toggle_lists,
+       reflashes=reflash_lists)
+def test_shared_bodies_match_interpreter(threshold, program, chunks, toggles,
+                                         reflashes):
+    check_program(program, chunks, threshold, toggles=toggles,
+                  reflashes=reflashes)
 
 
 def _counted_access_program(access):
@@ -534,3 +572,19 @@ def test_indirect_chain_and_operand_landing_match_interpreter():
         assert cpu.data.read_reg(18) == 0  # the lds itself never ran
     for threshold in THRESHOLDS:
         check_program(program, [3, 5], threshold)
+
+
+def test_generation_switches_under_hot_bodies_match_interpreter():
+    """Each core runs its loop hot (at the default threshold too), then
+    reloads its copy with its own bytes, runs hot again, then rewrites
+    the loop body's ``inc r16`` (word 2) to ``inc r20``: both switches
+    land on a filled decode cache, fused blocks and bound bodies, at both
+    bases on every tier."""
+    program = assemble([("loop", 100, [[("rcall", 0)], [I(M.INC, rd=16)]])],
+                       [[[I(M.STS, k=0x0304, rr=16)]]])
+    assert program[2] == I(M.INC, rd=16)
+    # chunk i runs on core i % 2, so each core sees every other event
+    reflashes = ([None] * 4 + [("reload",)] * 2 + [None] * 4
+                 + [("rewrite", 2, I(M.INC, rd=20))] * 2)
+    for threshold in THRESHOLDS:
+        check_program(program, [40], threshold, reflashes=reflashes)

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.avr.memory import FLASH_SIZE
+from repro.core import defenses
 from repro.core.defenses import (
     DEFENSE_BACKENDS,
     CtompBackend,
@@ -171,6 +172,34 @@ def test_daedalus_splits_below_function_granularity(testapp):
     assert split.function_count() == report.blocks
     # the relocation index survives the re-tiling (same code bytes)
     assert split.reloc_index is testapp.reloc_index
+
+
+def test_daedalus_splits_each_image_once_per_process(
+    testapp, testapp_safe, monkeypatch
+):
+    """Fresh backends share one split per source image object, equal byte
+    for byte to a fresh split; another image never gets it."""
+    calls = []
+
+    def counted(image):
+        calls.append(image)
+        return split_image_blocks(image)
+
+    defenses._SPLITS.clear()
+    monkeypatch.setattr(defenses, "split_image_blocks", counted)
+    first = DaedalusBackend().split(testapp)
+    second = DaedalusBackend().split(testapp)
+    assert second is first
+    assert len(calls) == 1 and calls[0] is testapp
+    fresh = split_image_blocks(testapp)
+    assert first.code == fresh.code
+    assert first.to_flash_blob() == fresh.to_flash_blob()
+    assert list(first.symbols) == list(fresh.symbols)
+
+    other = DaedalusBackend().split(testapp_safe)
+    assert len(calls) == 2 and calls[1] is testapp_safe
+    assert other.code == testapp_safe.code != testapp.code
+    defenses._SPLITS.clear()
 
 
 def test_daedalus_scatters_only_with_flash_headroom(testapp):
