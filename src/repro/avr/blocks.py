@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from ..errors import IllegalExecutionError, MemoryAccessError
+from ..errors import IllegalExecutionError
 from .engine import Handler
 from .insn import CONTROL_FLOW, Instruction, Mnemonic
 from .iospace import SREG_DATA, SREG_IO
@@ -205,7 +205,7 @@ def fuse(
                 break
             try:
                 entry = fetch(pc)
-            except (IllegalExecutionError, MemoryAccessError):
+            except IllegalExecutionError:
                 break
         else:
             entry = fetch(pc)

@@ -101,6 +101,7 @@ all-cold):
 from __future__ import annotations
 
 import time
+import weakref
 from collections import OrderedDict
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -1148,7 +1149,11 @@ class CompiledEngine:
     WARM_THRESHOLD = 8
 
     def __init__(self, cpu) -> None:
-        self.cpu = cpu
+        # weak: the core owns its engine, so a dropped board is freed by
+        # reference counting rather than by the cyclic collector; the
+        # decode path reads the flash through a strong reference of its own
+        self._cpu = weakref.ref(cpu)
+        self._flash = cpu.flash
         self._generation: Optional[int] = None
         # per-generation state, cleared together on every flash write
         self._cache: Dict[int, Decoded] = {}  # word address -> decode entry
@@ -1179,6 +1184,10 @@ class CompiledEngine:
         # retirements are attributed too.
         self.profile_hook = None
 
+    @property
+    def cpu(self):
+        return self._cpu()
+
     # -- per-generation state -----------------------------------------------
 
     def _sync_cache(self) -> None:
@@ -1187,7 +1196,7 @@ class CompiledEngine:
         Each is cleared in place: a reflash allocates nothing, and the
         run loops' locals stay bound to them.
         """
-        flash = self.cpu.flash
+        flash = self._flash
         if flash.generation != self._generation:
             self._cache.clear()
             self._heads.clear()
@@ -1215,7 +1224,7 @@ class CompiledEngine:
         exactly as the interpreter raises them.
         """
         self.decode_misses += 1
-        flash = self.cpu.flash
+        flash = self._flash
         at = pc * 2
         next_word = 0
         if 0 <= at < flash.size - 3:
@@ -1226,10 +1235,10 @@ class CompiledEngine:
         else:
             try:
                 word = flash.read_word(pc)
+                if needs_second_word(word):
+                    next_word = flash.read_word(pc + 1)
             except MemoryAccessError as exc:
                 raise IllegalExecutionError(str(exc)) from exc
-            if needs_second_word(word):
-                next_word = flash.read_word(pc + 1)
         key = word | next_word << 16
         entry = DECODE_MEMO.get(key)
         if entry is None:
@@ -1275,7 +1284,7 @@ class CompiledEngine:
         callee does not cost a compile.
         """
         block = self._fuse(pc)
-        flash = self.cpu.flash
+        flash = self._flash
         last = block.last_insn
         if last.mnemonic in TARGET_ARGUMENT:
             key = (flash.dump(pc * 2, block.last_pc_bytes - pc * 2), last.mnemonic)

@@ -192,7 +192,10 @@ class AvrCpu:
             raise IllegalExecutionError(str(exc)) from exc
         next_word = None
         if needs_second_word(word):
-            next_word = self.flash.read_word(self.pc + 1)
+            try:
+                next_word = self.flash.read_word(self.pc + 1)
+            except MemoryAccessError as exc:
+                raise IllegalExecutionError(str(exc)) from exc
         try:
             return decode(word, next_word, byte_addr)
         except DecodeError as exc:

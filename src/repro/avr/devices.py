@@ -11,6 +11,7 @@ Two devices matter for the paper's system:
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -43,7 +44,6 @@ class Usart:
     """
 
     def __init__(self, cpu: AvrCpu) -> None:
-        self._cpu = cpu
         self.rx_queue: Deque[int] = deque()
         self.tx_log: List[int] = []
         cpu.data.add_read_hook(UDR0_DATA, self._read_udr)
@@ -87,7 +87,8 @@ class EepromController:
     """
 
     def __init__(self, cpu: AvrCpu) -> None:
-        self._cpu = cpu
+        # weak: the core's hook table holds this controller's method
+        self._cpu = weakref.proxy(cpu)
         self.reads = 0
         self.writes = 0
         cpu.data.add_write_hook(EECR_DATA, self._on_control)
@@ -123,7 +124,8 @@ class FeedLine:
     """
 
     def __init__(self, cpu: AvrCpu) -> None:
-        self._cpu = cpu
+        # weak: the core's hook table holds this line's method
+        self._cpu = weakref.proxy(cpu)
         self._last_level: Optional[bool] = None
         self._last_boot_level: bool = False
         self.events: List[Tuple[int, bool]] = []  # (cycle, new level)

@@ -35,6 +35,7 @@ property the ROP gadget finder exploits.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from ..errors import IllegalExecutionError
@@ -554,11 +555,17 @@ class InterpreterEngine:
     name = "interpreter"
 
     def __init__(self, cpu: "AvrCpu") -> None:
-        self.cpu = cpu
+        # weak: the core owns its engine, so a dropped board is freed by
+        # reference counting rather than by the cyclic collector
+        self._cpu = weakref.ref(cpu)
         # dispatch tables hoisted once, so fetch_entry pays two dict
         # indexes instead of two module-global lookups plus two indexes
         self._handlers = HANDLERS
         self._cycles = CYCLES_BY_MNEMONIC
+
+    @property
+    def cpu(self) -> "AvrCpu":
+        return self._cpu()
 
     def fetch_entry(self) -> Entry:
         insn = self.cpu.fetch()

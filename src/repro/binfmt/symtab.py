@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..errors import BinfmtError
 
@@ -77,6 +77,16 @@ class SymbolTable:
         self._functions: Optional[List[Symbol]] = None
         for sym in symbols:
             self.add(sym)
+
+    @staticmethod
+    def deferred(build: Callable[[], Iterable[Symbol]]) -> "SymbolTable":
+        """A table filled from ``build()`` on the first read of any symbol.
+
+        A re-randomization describes every moved function anew, but the
+        master only programs the bytes; the table is built when (if ever)
+        something asks for a symbol.  It pickles as the plain table.
+        """
+        return _DeferredSymbolTable(build)
 
     def add(self, symbol: Symbol) -> None:
         if symbol.name in self._by_name:
@@ -210,6 +220,33 @@ class SymbolTable:
                 f"function tiling does not cover .text: ends at 0x{cursor:05x}, "
                 f"expected 0x{text_end:05x}"
             )
+
+
+#: the attributes a :class:`SymbolTable` holds its symbols in
+_TABLE_STATE = frozenset({"_symbols", "_by_name", "_functions"})
+
+
+class _DeferredSymbolTable(SymbolTable):
+    """A :class:`SymbolTable` whose state is built on first access.
+
+    The table attributes stay unset until then, so the first read of any
+    of them falls through to :meth:`__getattr__`, which fills the table;
+    every later access is a plain attribute read.
+    """
+
+    def __init__(self, build: Callable[[], Iterable[Symbol]]) -> None:
+        # the table state is deliberately left unset: see __getattr__
+        self._build = build
+
+    def __getattr__(self, name: str):
+        if name not in _TABLE_STATE or "_build" not in self.__dict__:
+            raise AttributeError(name)
+        SymbolTable.__init__(self, self._build())
+        del self._build
+        return self.__dict__[name]
+
+    def __reduce__(self):
+        return SymbolTable, (list(self),)
 
 
 def _kind_code(kind: SymbolKind) -> int:

@@ -171,7 +171,7 @@ class MavrBackend(DefenseBackend):
     ) -> Tuple[FirmwareImage, Optional[Permutation]]:
         randomized, permutation = randomize_image(image, rng)
         self.stats.diversifications += 1
-        self.stats.last_layout_units = len(permutation.moves)
+        self.stats.last_layout_units = len(permutation)
         return randomized, permutation
 
     def entropy_bits(self, image: FirmwareImage) -> float:
@@ -225,7 +225,7 @@ class DaedalusBackend(DefenseBackend):
         else:
             randomized, permutation = randomize_image(split, rng)
         self.stats.diversifications += 1
-        self.stats.last_layout_units = len(permutation.moves)
+        self.stats.last_layout_units = len(permutation)
         return randomized, permutation
 
     def entropy_bits(self, image: FirmwareImage) -> float:

@@ -27,7 +27,7 @@ from .watchdog import WatchdogConfig
 
 #: format of :meth:`MavrSystem.capture_snapshot` payloads; bump on any
 #: change to the captured fields or their meaning
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclass
@@ -137,8 +137,8 @@ class MavrSystem:
         preprocess pass, the external-flash round-trip, or the simulated
         ISP programming: the running (randomized) image, the parsed
         original with its relocation index, the chip blob, the master's
-        RNG stream position, and every monotonic counter the defense
-        accounting exposes.  :meth:`from_snapshot` is the inverse; that a
+        RNG stream position, the bytes the ISP last programmed, and every
+        monotonic counter the defense accounting exposes.  :meth:`from_snapshot` is the inverse; that a
         restored system flies exactly like the captured one is pinned by
         test.
         """
@@ -157,10 +157,7 @@ class MavrSystem:
             "master_stats": master.stats.as_dict(),
             "startup_overheads_ms": list(master.stats.startup_overheads_ms),
             "isp_stats": isp.stats.as_dict(),
-            "isp_digests": (
-                list(isp._last_digests) if isp._last_digests is not None else None
-            ),
-            "isp_image_len": isp._last_image_len,
+            "isp_image": isp._last_image,
             "defense_stats": self.defense.stats.as_dict(),
         }
 
@@ -183,9 +180,10 @@ class MavrSystem:
         the first post-boot instruction on: the application flash holds
         the same randomized bytes (loaded directly instead of streamed
         page by page), the master's RNG resumes mid-stream so later
-        re-randomizations draw the same layouts, the ISP's page digests
-        describe the flash contents so differential reflash stays armed,
-        and every stats counter matches the cold boot's accounting.
+        re-randomizations draw the same layouts, the ISP's copy of the
+        last programmed bytes matches the flash so differential reflash
+        stays armed, and every stats counter matches the cold boot's
+        accounting.
         Host-visible differences are confined to wall-clock time and the
         flash generation counter's absolute value (kept self-consistent
         with the ISP's record, which is all the differential path needs).
@@ -233,11 +231,7 @@ class MavrSystem:
             setattr(isp.stats, name, value)
         flash = system.autopilot.cpu.flash
         isp._last_flash = flash
-        isp._last_digests = (
-            list(snapshot["isp_digests"])
-            if snapshot["isp_digests"] is not None else None
-        )
-        isp._last_image_len = snapshot["isp_image_len"]
+        isp._last_image = snapshot["isp_image"]
         # the absolute generation value is process-local; what matters is
         # that the ISP's record matches the chip it will diff against
         isp.stats.last_flash_generation = flash.generation

@@ -27,13 +27,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..avr.memory import FLASH_SIZE
 from ..binfmt.image import FirmwareImage
 from ..errors import DefenseError
 from .patching import ERASED, patch_image
-from .randomize import BlockMove, Permutation, shuffled_symbol_table
+from .randomize import (
+    Permutation,
+    layout_plan,
+    place_blocks,
+    shuffle_blocks,
+    shuffled_symbol_table,
+)
 
 
 def generate_padded_permutation(
@@ -50,10 +56,10 @@ def generate_padded_permutation(
     gap entropy; there must be enough free flash above ``data_end``.)
     """
     rng = rng if rng is not None else random.Random()
-    functions = image.symbols.functions()
-    if not functions:
+    plan = layout_plan(image)
+    if not plan.starts:
         raise DefenseError("image has no function symbols to shuffle")
-    total_code = sum(symbol.size for symbol in functions)
+    total_code = sum(plan.sizes)
     free_start = _align_up(max(image.data_end, image.text_end), alignment)
     free_bytes = flash_size - free_start
     slack = free_bytes - total_code
@@ -63,22 +69,18 @@ def generate_padded_permutation(
             f"than {total_code} bytes above 0x{free_start:05x}, have {free_bytes}"
         )
 
-    order = list(functions)
-    rng.shuffle(order)
+    order = shuffle_blocks(plan, rng)
     # distribute the slack into n+1 random gaps (stars and bars)
     gap_units = slack // alignment
     cuts = sorted(rng.randint(0, gap_units) for _ in range(len(order)))
     gaps = [cuts[0]] + [b - a for a, b in zip(cuts, cuts[1:])]
 
-    moves: List[BlockMove] = []
-    cursor = free_start
-    for symbol, gap in zip(order, gaps):
-        cursor += gap * alignment
-        moves.append(BlockMove(symbol.name, symbol.address, cursor, symbol.size))
-        cursor += symbol.size
-    if cursor > flash_size:
+    new_starts, end = place_blocks(
+        plan, order, free_start, [gap * alignment for gap in gaps]
+    )
+    if end > flash_size:
         raise DefenseError("padded layout overflowed the flash (internal error)")
-    return Permutation(moves)
+    return Permutation.from_plan(plan, order, new_starts, end)
 
 
 def randomize_image_padded(

@@ -17,15 +17,19 @@ layout must be fixed:
 One patcher applies every layout.  The instructions that need touching
 are a property of the original image, recorded once in its
 :class:`~repro.binfmt.relocindex.RelocationIndex` (the preprocessor's one
-full-stream decode), so a re-randomization is block copies plus operand
-rewrites at the recorded sites — no instruction decoding.
+full-stream decode).  The first patch of an image places each recorded
+site and each function-pointer slot in its block, as a (block, offset)
+pair both for where it sits and for where it points, on the image's
+:class:`~repro.core.randomize.LayoutPlan`.  Every re-randomization is
+then block copies plus operand rewrites by block index — no instruction
+decoding, no address search.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from typing import Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from ..avr.decoder import decode_at
 from ..avr.insn import Mnemonic
@@ -35,11 +39,18 @@ from ..binfmt.relocindex import (
     KIND_JMP,
     KIND_RCALL,
     KIND_RJMP,
+    PatchSite,
     RelocationIndex,
     build_relocation_index,
 )
-from ..errors import DecodeError, EncodeError, PatchError
-from .randomize import Permutation, generate_permutation, shuffled_symbol_table
+from ..errors import BinfmtError, DecodeError, EncodeError, PatchError
+from .randomize import (
+    LayoutPlan,
+    Permutation,
+    generate_permutation,
+    layout_plan,
+    shuffled_symbol_table,
+)
 
 M = Mnemonic
 
@@ -60,85 +71,92 @@ _TWO_WORDS = struct.Struct("<HH")
 def randomize_image(
     image: FirmwareImage, rng: Optional[random.Random] = None
 ) -> Tuple[FirmwareImage, Permutation]:
-    """Shuffle + patch: the master processor's whole software job."""
+    """Shuffle + patch: the master processor's whole software job.
+
+    What :meth:`FirmwareImage.validate` would check of the result holds
+    by construction: the shuffle tiles ``.text`` exactly
+    (:class:`DefenseError` otherwise), and the image's plan puts every
+    patch site and pointer target inside a block and every pointer slot
+    inside the data region (:class:`PatchError`/:class:`BinfmtError`
+    otherwise).  The symbol table is built on first read.
+    """
     permutation = generate_permutation(image, rng)
     randomized = image.with_code(
         patch_image(image, permutation),
         symbols=shuffled_symbol_table(image, permutation),
     )
-    randomized.validate()
     return randomized, permutation
+
+
+class PatchSites(NamedTuple):
+    """Every rewrite a layout of one image needs, by block index.
+
+    Site rows are ``(block, offset, target block, target offset, opcode,
+    site)``; pointer rows are ``(slot, target block, target offset)``.
+    Block ``len(blocks)`` is the fixed region, which stays at 0.
+    """
+
+    blocks: List[bytes]
+    absolute: List[tuple]
+    relative: List[tuple]
+    pointers: List[tuple]
 
 
 def patch_image(image: FirmwareImage, permutation: Permutation) -> bytes:
     """Produce the code bytes of ``image`` laid out by ``permutation``.
 
-    Blocks are copied onto a buffer sized to the layout.  A layout that
-    keeps every block inside ``.text`` reuses the image's bytes around
-    it; one that places blocks past ``.text`` (the padded scatter) gets
-    a buffer extended with erased flash, and the ``.text`` it vacated is
-    erased too, so no old gadget bytes survive.  Then every indexed site
-    and every function-pointer slot is rewritten for the new layout.
+    A layout that tiles ``.text`` block after block is one join of block
+    slices.  Any other is copied block by block onto a buffer sized to
+    the layout: one that keeps every block inside ``.text`` reuses the
+    image's bytes around it; one that places blocks past ``.text`` (the
+    padded scatter) gets a buffer extended with erased flash, and the
+    ``.text`` it vacated is erased too, so no old gadget bytes survive.
+    Then every indexed site and every function-pointer slot is
+    rewritten for the new layout.
     """
-    index = _relocation_index(image)
-    code = image.code
-    source = memoryview(code)
-    layout_end = permutation.new_end
-    if layout_end > image.text_end:
-        content_end = max(image.data_end, image.text_end)
-        new_code = bytearray(source[:content_end])
-        new_code += bytes([ERASED]) * (layout_end - content_end)
-        text_size = image.text_end - image.text_start
-        new_code[image.text_start : image.text_end] = bytes([ERASED]) * text_size
+    plan = layout_plan(image)
+    sites = plan.sites
+    if sites is None:
+        sites = plan.sites = _plan_sites(plan, _relocation_index(image))
+    order, new_starts, tiles_text = permutation.placed_on(plan)
+    code = plan.code
+    blocks = sites.blocks
+    if tiles_text:
+        new_code = bytearray().join(
+            [code[: image.text_start], *map(blocks.__getitem__, order),
+             code[image.text_end :]]
+        )
     else:
-        new_code = bytearray(code)
-    for move in permutation.moves:
-        new_code[move.new_address : move.new_address + move.size] = source[
-            move.old_address : move.old_address + move.size
-        ]
-
-    fixed_end = min(image.text_start, image.data_start)
-    remap = permutation.new_address_of
-
-    def site_position(offset: int) -> int:
-        # the fixed region never moves; everything else sits in a block
-        if offset < fixed_end:
-            return offset
-        moved = remap(offset)
-        if moved is None:
-            raise PatchError(
-                f"indexed site 0x{offset:05x} is outside every function block"
+        layout_end = permutation.new_end
+        if layout_end > image.text_end:
+            content_end = max(image.data_end, image.text_end)
+            new_code = bytearray(code[:content_end])
+            new_code += bytes([ERASED]) * (layout_end - content_end)
+            text_size = image.text_end - image.text_start
+            new_code[image.text_start : image.text_end] = (
+                bytes([ERASED]) * text_size
             )
-        return moved
+        else:
+            new_code = bytearray(code)
+        sizes = plan.sizes
+        for block in order:
+            start = new_starts[block]
+            new_code[start : start + sizes[block]] = blocks[block]
 
-    for site in index.absolute_sites:
-        new_target = remap(site.target)
-        if new_target is None:
-            raise PatchError(
-                f"{site.mnemonic.value} at 0x{site.offset:05x} targets "
-                f"0x{site.target:05x}, which is inside .text but outside "
-                "every function block"
-            )
-        new_offset = site_position(site.offset)
-        k = new_target >> 1
+    starts = new_starts + [0]  # the fixed region's block never moves
+    pack_two_words = _TWO_WORDS.pack_into
+    for block, offset, target_block, target_offset, opcode, site in sites.absolute:
+        k = (starts[target_block] + target_offset) >> 1
         if k >= 1 << 22:
             raise EncodeError(
                 f"{site.mnemonic.value}: target out of 22-bit range: {k}"
             )
-        high = _OPCODE[site.kind] | ((k >> 17) & 0x1F) << 4 | (k >> 16) & 1
-        _TWO_WORDS.pack_into(new_code, new_offset, high, k & 0xFFFF)
+        high = opcode | ((k >> 17) & 0x1F) << 4 | (k >> 16) & 1
+        pack_two_words(new_code, starts[block] + offset, high, k & 0xFFFF)
 
-    for site in index.relative_sites:
-        new_offset = site_position(site.offset)
-        if image.text_start <= site.target < image.text_end:
-            new_target = remap(site.target)
-            if new_target is None:
-                raise PatchError(
-                    f"{site.mnemonic.value} at 0x{site.offset:05x} escapes "
-                    "its block into unmapped .text"
-                )
-        else:
-            new_target = site.target  # fixed region does not move
+    for block, offset, target_block, target_offset, opcode, site in sites.relative:
+        new_offset = starts[block] + offset
+        new_target = starts[target_block] + target_offset
         displacement = (new_target - (new_offset + 2)) // 2
         if not -2048 <= displacement <= 2047:
             raise PatchError(
@@ -146,11 +164,92 @@ def patch_image(image: FirmwareImage, permutation: Permutation) -> bytes:
                 f"reach 0x{new_target:05x} after randomization "
                 "(image must be built with --no-relax)"
             )
-        word = _OPCODE[site.kind] | displacement & 0xFFF
-        _WORD.pack_into(new_code, new_offset, word)
+        _WORD.pack_into(new_code, new_offset, opcode | displacement & 0xFFF)
 
-    _patch_funcptrs(image, permutation, new_code)
+    for location, target_block, target_offset in sites.pointers:
+        new_word = (starts[target_block] + target_offset) >> 1
+        if new_word > 0xFFFF:
+            raise PatchError(
+                f"pointer slot 0x{location:05x} would need a 17-bit word "
+                f"address (0x{new_word:05x}); route it through a trampoline"
+            )
+        _WORD.pack_into(new_code, location, new_word)
     return bytes(new_code)
+
+
+def _plan_sites(plan: LayoutPlan, index: RelocationIndex) -> PatchSites:
+    """Place every indexed site and pointer slot of ``plan``'s image.
+
+    Which block a site or target falls in does not depend on the layout,
+    so every check that one lies outside every block runs here, once per
+    image, in the order the sites are rewritten.  Slots that point into
+    the fixed region (trampoline stubs) stay as they are — the stubs'
+    jmps are indexed sites, retargeted with the rest.
+    """
+    fixed = len(plan.starts)
+    text_start, text_end, data_start, data_end = plan.bounds
+    fixed_end = min(text_start, data_start)
+    locate = plan.locate
+
+    def position(site: PatchSite) -> Tuple[int, int]:
+        # the fixed region never moves; everything else sits in a block
+        if site.offset < fixed_end:
+            return fixed, site.offset
+        placed = locate(site.offset)
+        if placed is None:
+            raise PatchError(
+                f"indexed site 0x{site.offset:05x} is outside every function block"
+            )
+        return placed
+
+    absolute = []
+    for site in index.absolute_sites:
+        target = locate(site.target)
+        if target is None:
+            raise PatchError(
+                f"{site.mnemonic.value} at 0x{site.offset:05x} targets "
+                f"0x{site.target:05x}, which is inside .text but outside "
+                "every function block"
+            )
+        absolute.append((*position(site), *target, _OPCODE[site.kind], site))
+
+    relative = []
+    for site in index.relative_sites:
+        where = position(site)
+        if text_start <= site.target < text_end:
+            target = locate(site.target)
+            if target is None:
+                raise PatchError(
+                    f"{site.mnemonic.value} at 0x{site.offset:05x} escapes "
+                    "its block into unmapped .text"
+                )
+        else:
+            target = fixed, site.target  # fixed region does not move
+        relative.append((*where, *target, _OPCODE[site.kind], site))
+
+    code = plan.code
+    pointers = []
+    for location in plan.funcptr_locations:
+        old_target = (code[location] | (code[location + 1] << 8)) * 2
+        if old_target < fixed_end:
+            continue  # trampoline stub: layout-stable by design
+        target = locate(old_target)
+        if target is None:
+            raise PatchError(
+                f"pointer slot 0x{location:05x} targets 0x{old_target:05x} "
+                "outside every function block"
+            )
+        pointers.append((location, *target))
+    for location in plan.funcptr_locations:
+        if not data_start <= location < data_end - 1:
+            raise BinfmtError(
+                f"function pointer slot 0x{location:05x} outside data region"
+            )
+
+    blocks = [
+        code[start : start + size] for start, size in zip(plan.starts, plan.sizes)
+    ]
+    return PatchSites(blocks, absolute, relative, pointers)
 
 
 def _relocation_index(image: FirmwareImage) -> RelocationIndex:
@@ -165,37 +264,6 @@ def _relocation_index(image: FirmwareImage) -> RelocationIndex:
     if index is None or not index.matches(image):
         index = image.reloc_index = build_relocation_index(image)
     return index
-
-
-def _patch_funcptrs(
-    image: FirmwareImage, permutation: Permutation, new_code: bytearray
-) -> None:
-    """Rewrite function pointers embedded in the data section.
-
-    Slots that point into the fixed region (trampoline stubs) stay as
-    they are — the stubs' jmps are indexed sites, retargeted with the
-    rest.
-    """
-    fixed_limit = min(image.text_start, image.data_start)
-    for location in image.funcptr_locations:
-        old_word = image.code[location] | (image.code[location + 1] << 8)
-        old_target = old_word * 2
-        if old_target < fixed_limit:
-            continue  # trampoline stub: layout-stable by design
-        new_byte = permutation.new_address_of(old_target)
-        if new_byte is None:
-            raise PatchError(
-                f"pointer slot 0x{location:05x} targets 0x{old_target:05x} "
-                "outside every function block"
-            )
-        new_word = new_byte // 2
-        if new_word > 0xFFFF:
-            raise PatchError(
-                f"pointer slot 0x{location:05x} would need a 17-bit word "
-                f"address (0x{new_word:05x}); route it through a trampoline"
-            )
-        new_code[location] = new_word & 0xFF
-        new_code[location + 1] = (new_word >> 8) & 0xFF
 
 
 def verify_patched(

@@ -12,23 +12,23 @@ Differential reflash
 A re-randomization rewrites only the bytes the shuffle actually moved or
 retargeted: the fixed vectors+init region, unmoved data pages, and blocks
 that happen to land on their old address are byte-identical to what the
-chip already holds.  The programmer keeps a per-page digest of the last
+chip already holds.  The programmer keeps an immutable copy of the last
 image it wrote; when the flash provably still holds that image (same chip
-object, same :attr:`FlashMemory.generation`, same length), only changed
-pages are transferred and written — page-granular erase included — and
-:class:`ProgrammingStats` prices the pass in pages and wire bytes so the
-policy layer can reason about wear per page rather than per full image.
+object, same :attr:`FlashMemory.generation`, same length), it compares
+the two page by page, and only changed pages are transferred and
+written — page-granular erase included — and :class:`ProgrammingStats`
+prices the pass in pages and wire bytes so the policy layer can reason
+about wear per page rather than per full image.
 
 The invariant that makes skipping safe: *a skipped page is byte-identical
-by digest to the page already in flash*, so the post-pass flash contents
-equal a full reprogram byte for byte.  Any foreign write to the flash
-(an SPM self-write, a debugger load) bumps ``generation`` and forces the
-next pass back to a full reprogram.
+by comparison to the page already in flash*, so the post-pass flash
+contents equal a full reprogram byte for byte.  Any foreign write to the
+flash (an SPM self-write, a debugger load) bumps ``generation`` and
+forces the next pass back to a full reprogram.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from typing import List, Optional
 
@@ -58,10 +58,10 @@ class ProgrammingStats(StatsView):
     total_programming_ms = CounterField("isp.total_programming_ms")
     last_programming_ms = GaugeField("isp.last_programming_ms", initial=0.0)
     # Flash generation after the most recent programming pass; the CPU's
-    # predecoded engine invalidates its decode cache when this moves, and
-    # the differential path uses it to prove the chip still holds the
-    # image the page digests describe.  A gauge (not a counter): a new
-    # flash chip object legitimately restarts its generation count.
+    # compiled engine drops its decode cache when this moves, and the
+    # differential path uses it to prove the chip still holds the image
+    # it last programmed.  A gauge (not a counter): a new flash chip
+    # object legitimately restarts its generation count.
     last_flash_generation = GaugeField("isp.last_flash_generation")
     # page-granular pricing (differential reflash)
     pages_written = CounterField("isp.pages_written")
@@ -71,16 +71,6 @@ class ProgrammingStats(StatsView):
     last_pages_written = GaugeField("isp.last_pages_written")
     last_pages_skipped = GaugeField("isp.last_pages_skipped")
     last_bytes_on_wire = GaugeField("isp.last_bytes_on_wire")
-
-
-def _page_digests(image: bytes) -> List[bytes]:
-    """One 8-byte BLAKE2b digest per flash page of ``image``."""
-    return [
-        hashlib.blake2b(
-            image[offset : offset + FLASH_PAGE_SIZE], digest_size=8
-        ).digest()
-        for offset in range(0, len(image), FLASH_PAGE_SIZE)
-    ]
 
 
 class IspProgrammer:
@@ -102,8 +92,8 @@ class IspProgrammer:
             "isp.programming_ms", component="isp"
         )
         self._last_flash = None
-        self._last_digests: Optional[List[bytes]] = None
-        self._last_image_len = 0
+        # the bytes of the last pass (immutable), to diff the next against
+        self._last_image: Optional[bytes] = None
         # Host-side wall time spent inside program() — the "program" phase
         # of the campaign phase breakdown.  Simulated time lives in
         # stats.total_programming_ms; this is what the host actually paid.
@@ -130,8 +120,8 @@ class IspProgrammer:
                 f"of {self.endurance} write cycles used"
             )
         host_start = time.perf_counter()
-        digests = _page_digests(image)
-        changed = self._changed_pages(flash, image, digests, force_full)
+        image = bytes(image)  # the copy kept below must not change under us
+        changed = self._changed_pages(flash, image, force_full)
         with self.telemetry.span("isp.program", image_bytes=len(image)) as span:
             if changed is None:
                 elapsed, wire, written, skipped = self._program_full(flash, image)
@@ -152,8 +142,7 @@ class IspProgrammer:
         # moment programming starts — never only when it finishes.
         self.stats.last_flash_generation = flash.generation
         self._last_flash = flash
-        self._last_digests = digests
-        self._last_image_len = len(image)
+        self._last_image = image
         self._programming_ms_hist.observe(elapsed)
         self.stats.programming_cycles += 1
         self.stats.bytes_programmed += len(image)
@@ -173,36 +162,36 @@ class IspProgrammer:
     # -- the two programming strategies ---------------------------------
 
     def _changed_pages(
-        self, flash, image: bytes, digests: List[bytes], force_full: bool
+        self, flash, image: bytes, force_full: bool
     ) -> Optional[List[int]]:
         """Page indices to rewrite, or ``None`` when a full pass is needed.
 
         The diff is only trusted when the chip still holds exactly the
-        image described by the stored digests: same flash object, no
-        generation movement since our last pass (foreign writes — SPM
-        self-writes, debugger loads — bump it), and an unchanged image
-        length (a length change would leave stale pages beyond the new
-        end).  Even then, a diff that would cost more wire bytes than the
-        sequential stream falls back to the full pass.
+        image last programmed: same flash object, no generation movement
+        since our last pass (foreign writes — SPM self-writes, debugger
+        loads — bump it), and an unchanged image length (a length change
+        would leave stale pages beyond the new end).  Even then, a diff
+        that would cost more wire bytes than the sequential stream falls
+        back to the full pass.
         """
+        last = self._last_image
         if (
             force_full
-            or self._last_digests is None
+            or last is None
             or self._last_flash is not flash
             or flash.generation != self.stats.last_flash_generation
-            or self._last_image_len != len(image)
+            or len(last) != len(image)
         ):
             return None
         changed = [
             index
-            for index, digest in enumerate(digests)
-            if digest != self._last_digests[index]
+            for index, start in enumerate(range(0, len(image), FLASH_PAGE_SIZE))
+            if image[start : start + FLASH_PAGE_SIZE]
+            != last[start : start + FLASH_PAGE_SIZE]
         ]
-        payload = sum(
-            len(image[index * FLASH_PAGE_SIZE : (index + 1) * FLASH_PAGE_SIZE])
-            for index in changed
-        )
-        if self.link.differential_wire_bytes(payload, len(changed)) >= len(image):
+        if self.link.differential_wire_bytes(
+            _payload(changed, len(image)), len(changed)
+        ) >= len(image):
             return None  # diff would not beat the sequential stream
         return changed
 
@@ -220,17 +209,18 @@ class IspProgrammer:
 
     def _program_differential(self, flash, image: bytes, changed: List[int]):
         telemetry = self.telemetry
-        payload = 0
+        emit = telemetry.emit if telemetry.enabled else None
         for index in changed:
             start = index * FLASH_PAGE_SIZE
             page = image[start : start + FLASH_PAGE_SIZE]
             flash.erase_page(start, len(page))
             flash.write_page(start, page)
-            payload += len(page)
-            telemetry.emit(
-                "flash.page_reflashed", page=index, offset=start,
-                size=len(page), generation=flash.generation,
-            )
+            if emit is not None:
+                emit(
+                    "flash.page_reflashed", page=index, offset=start,
+                    size=len(page), generation=flash.generation,
+                )
+        payload = _payload(changed, len(image))
         total_pages = (len(image) + FLASH_PAGE_SIZE - 1) // FLASH_PAGE_SIZE
         wire = self.link.differential_wire_bytes(payload, len(changed))
         elapsed = BOOTLOADER_ENTRY_MS + self.link.differential_programming_ms(
@@ -249,3 +239,13 @@ class IspProgrammer:
     @property
     def remaining_cycles(self) -> int:
         return max(self.endurance - self.stats.programming_cycles, 0)
+
+
+def _payload(changed: List[int], image_len: int) -> int:
+    """Bytes in the pages ``changed`` of an ``image_len``-byte image
+    (every page is full but possibly the last)."""
+    if not changed:
+        return 0
+    return len(changed) * FLASH_PAGE_SIZE - max(
+        (changed[-1] + 1) * FLASH_PAGE_SIZE - image_len, 0
+    )

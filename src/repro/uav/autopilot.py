@@ -57,7 +57,7 @@ class Autopilot:
         self.image = image
         self.instructions_per_tick = instructions_per_tick
         # ``engine`` selects the CPU execution engine; the default
-        # predecoded engine makes large attack/defense sweeps fast, the
+        # compiled engine makes large attack/defense sweeps fast, the
         # "interpreter" reference exists for differential testing.
         self.cpu = AvrCpu(engine=engine)
         self.usart = Usart(self.cpu)
@@ -82,7 +82,7 @@ class Autopilot:
         """Program a new image and reset (what the MAVR master does).
 
         Both the erase and the load bump the flash generation counter, so
-        the CPU's predecoded engine can never execute decodes cached from
+        the CPU's compiled engine can never execute decodes cached from
         the pre-randomization image (the stale-decode regression test
         pins this down).
         """

@@ -15,7 +15,7 @@ from repro.avr.compiled import DECODE_MEMO
 from repro.avr.decoder import needs_second_word
 from repro.avr.engine import CYCLES_BY_MNEMONIC, HANDLERS
 from repro.avr.memory import FLASH_WORDS, FlashMemory
-from repro.errors import AvrError
+from repro.errors import AvrError, IllegalExecutionError
 
 I = Instruction
 M = Mnemonic
@@ -68,6 +68,7 @@ def _edge_run(code, engine, threshold, step):
 @pytest.mark.parametrize("edge", sorted(EDGES))
 def test_flash_edges_fail_like_the_interpreter(edge, step):
     expected = _edge_run(EDGES[edge], "interpreter", None, step)
+    assert expected[0] is IllegalExecutionError
     assert expected[1] == "flash word read out of range: word 0x20000"
     assert expected[4] == 32  # ldi, 10 x (inc, dec, brne), inc
     for tier, threshold in TIERS.items():

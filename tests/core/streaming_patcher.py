@@ -6,8 +6,8 @@ segment (the fixed vector/init region, then each moved block) on every
 call and retargets each control transfer as it meets it.  Production
 replays a relocation index instead; the tests hold the two to identical
 output, the way the interpreter is the reference for the compiled
-engine.  Function-pointer slots go through the production
-``_patch_funcptrs`` on both sides.
+engine.  Function-pointer slots are rewritten the way the original
+pass rewrote them: read, translated and written back one at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from repro.avr.decoder import decode_at
 from repro.avr.encoder import encode_bytes
 from repro.avr.insn import Instruction, Mnemonic
 from repro.binfmt.image import FirmwareImage
-from repro.core.patching import _patch_funcptrs
 from repro.core.randomize import Permutation
 from repro.errors import DecodeError, PatchError
 
@@ -173,3 +172,33 @@ def _check_branch(
             f"conditional branch at 0x{old_offset:05x} crosses a block "
             "boundary; cannot be retargeted within 7 bits"
         )
+
+
+def _patch_funcptrs(
+    image: FirmwareImage, permutation: Permutation, new_code: bytearray
+) -> None:
+    """Rewrite function pointers embedded in the data section.
+
+    Slots that point into the fixed region (trampoline stubs) stay as
+    they are — the stubs' jmps are retargeted with the other sites.
+    """
+    fixed_limit = min(image.text_start, image.data_start)
+    for location in image.funcptr_locations:
+        old_word = image.code[location] | (image.code[location + 1] << 8)
+        old_target = old_word * 2
+        if old_target < fixed_limit:
+            continue  # trampoline stub: layout-stable by design
+        new_byte = permutation.new_address_of(old_target)
+        if new_byte is None:
+            raise PatchError(
+                f"pointer slot 0x{location:05x} targets 0x{old_target:05x} "
+                "outside every function block"
+            )
+        new_word = new_byte // 2
+        if new_word > 0xFFFF:
+            raise PatchError(
+                f"pointer slot 0x{location:05x} would need a 17-bit word "
+                f"address (0x{new_word:05x}); route it through a trampoline"
+            )
+        new_code[location] = new_word & 0xFF
+        new_code[location + 1] = (new_word >> 8) & 0xFF

@@ -54,4 +54,7 @@ def test_restored_system_flies_like_the_captured_one(testapp):
     _fly(restored)
     assert original.master.stats.attacks_detected >= 1
     assert original.master.stats.randomizations >= 2
+    # the restored ISP diffs against the captured bytes: the reflash
+    # after the detection is differential, as on the captured system
+    assert restored.master.isp.stats.differential_passes >= 1
     assert _state(restored) == _state(original)
