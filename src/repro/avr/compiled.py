@@ -1253,9 +1253,8 @@ class CompiledEngine:
         """One decode entry, through the per-generation cache."""
         return self._cache.get(pc) or self._entry_at(pc)
 
-    def fetch_entry(self) -> Entry:
-        """The entry at PC for :meth:`AvrCpu.step`."""
-        cpu = self.cpu
+    def fetch_entry(self, cpu) -> Entry:
+        """The entry at ``cpu``'s PC for :meth:`AvrCpu.step`."""
         pc = cpu.pc
         limit = cpu.code_limit
         if limit is not None and pc * 2 >= limit:

@@ -226,7 +226,7 @@ class AvrCpu:
         if self.halted:
             raise CpuFault("core is halted", self.pc_bytes, self.cycles)
         retire_preamble(self)
-        handler, insn, size_words, base_cycles = self.engine.fetch_entry()
+        handler, insn, size_words, base_cycles = self.engine.fetch_entry(self)
         pc_before = self.pc
         self.pc += size_words
         try:

@@ -567,8 +567,8 @@ class InterpreterEngine:
     def cpu(self) -> "AvrCpu":
         return self._cpu()
 
-    def fetch_entry(self) -> Entry:
-        insn = self.cpu.fetch()
+    def fetch_entry(self, cpu: "AvrCpu") -> Entry:
+        insn = cpu.fetch()
         mnemonic = insn.mnemonic
         return (
             self._handlers[mnemonic],

@@ -57,8 +57,6 @@ def generate_padded_permutation(
     """
     rng = rng if rng is not None else random.Random()
     plan = layout_plan(image)
-    if not plan.starts:
-        raise DefenseError("image has no function symbols to shuffle")
     total_code = sum(plan.sizes)
     free_start = _align_up(max(image.data_end, image.text_end), alignment)
     free_bytes = flash_size - free_start

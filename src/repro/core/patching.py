@@ -105,43 +105,36 @@ class PatchSites(NamedTuple):
 def patch_image(image: FirmwareImage, permutation: Permutation) -> bytes:
     """Produce the code bytes of ``image`` laid out by ``permutation``.
 
-    A layout that tiles ``.text`` block after block is one join of block
-    slices.  Any other is copied block by block onto a buffer sized to
-    the layout: one that keeps every block inside ``.text`` reuses the
-    image's bytes around it; one that places blocks past ``.text`` (the
-    padded scatter) gets a buffer extended with erased flash, and the
-    ``.text`` it vacated is erased too, so no old gadget bytes survive.
-    Then every indexed site and every function-pointer slot is
-    rewritten for the new layout.
+    Blocks are copied onto a buffer sized to the layout.  A layout that
+    keeps every block inside ``.text`` reuses the image's bytes around
+    it; one that places blocks past ``.text`` (the padded scatter) gets
+    a buffer extended with erased flash, and the ``.text`` it vacated is
+    erased too, so no old gadget bytes survive.  Then every indexed site
+    and every function-pointer slot is rewritten for the new layout.
     """
     plan = layout_plan(image)
     sites = plan.sites
     if sites is None:
         sites = plan.sites = _plan_sites(plan, _relocation_index(image))
-    order, new_starts, tiles_text = permutation.placed_on(plan)
+    order, new_starts = permutation.placed_on(plan)
     code = plan.code
-    blocks = sites.blocks
-    if tiles_text:
-        new_code = bytearray().join(
-            [code[: image.text_start], *map(blocks.__getitem__, order),
-             code[image.text_end :]]
-        )
+    layout_end = permutation.new_end
+    if layout_end > image.text_end:
+        content_end = max(image.data_end, image.text_end)
+        new_code = bytearray(code[:content_end])
+        new_code += bytes([ERASED]) * (layout_end - content_end)
+        text_size = image.text_end - image.text_start
+        new_code[image.text_start : image.text_end] = bytes([ERASED]) * text_size
     else:
-        layout_end = permutation.new_end
-        if layout_end > image.text_end:
-            content_end = max(image.data_end, image.text_end)
-            new_code = bytearray(code[:content_end])
-            new_code += bytes([ERASED]) * (layout_end - content_end)
-            text_size = image.text_end - image.text_start
-            new_code[image.text_start : image.text_end] = (
-                bytes([ERASED]) * text_size
-            )
-        else:
-            new_code = bytearray(code)
-        sizes = plan.sizes
-        for block in order:
-            start = new_starts[block]
-            new_code[start : start + sizes[block]] = blocks[block]
+        new_code = bytearray(code)
+    # through a view: for ArduPlane's 917 blocks its slice assignment
+    # takes about half the time the bytearray's own does
+    view = memoryview(new_code)
+    blocks, sizes = sites.blocks, plan.sizes
+    for block in order:
+        start = new_starts[block]
+        view[start : start + sizes[block]] = blocks[block]
+    view.release()
 
     starts = new_starts + [0]  # the fixed region's block never moves
     pack_two_words = _TWO_WORDS.pack_into

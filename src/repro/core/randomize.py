@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from itertools import repeat
 from operator import attrgetter, eq
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
@@ -119,23 +120,20 @@ class Permutation:
         self._new_starts: Optional[List[int]] = None
         self._new_end: Optional[int] = None
         self._map: Optional[Tuple[List[int], List[int], List[int]]] = None
-        self._tiles_text = False
 
     @classmethod
     def from_plan(
         cls, plan: LayoutPlan, order: List[int], new_starts: List[int],
-        new_end: int, tiles_text: bool = False,
+        new_end: int,
     ) -> "Permutation":
         """Blocks ``order`` (indices into ``plan``) placed at ``new_starts``
-        (by block index), ending at ``new_end``.  ``tiles_text``: placed
-        back to back from ``.text``'s start in that order."""
+        (by block index), ending at ``new_end``."""
         permutation = cls(())
         permutation._moves = None
         permutation._plan = plan
         permutation._order = order
         permutation._new_starts = new_starts
         permutation._new_end = new_end
-        permutation._tiles_text = tiles_text
         return permutation
 
     def __len__(self) -> int:
@@ -167,17 +165,16 @@ class Permutation:
             ]
         return self._moves
 
-    def placed_on(self, plan: LayoutPlan) -> Tuple[List[int], List[int], bool]:
-        """This layout over ``plan``'s blocks: the placement order, the
-        new starts by block index, and whether the blocks tile ``.text``
-        back to back in that order.
+    def placed_on(self, plan: LayoutPlan) -> Tuple[List[int], List[int]]:
+        """This layout over ``plan``'s blocks: the placement order and the
+        new starts by block index.
 
         A layout drawn from ``plan`` is read as is.  Any other is matched
         to the plan's blocks by old address and size; it must place each
         of them exactly once.
         """
         if self._plan is plan:
-            return self._order, self._new_starts, self._tiles_text
+            return self._order, self._new_starts
         moves = self.moves
         ranked = sorted(range(len(moves)), key=lambda i: moves[i].old_address)
         if [(moves[i].old_address, moves[i].size) for i in ranked] != list(
@@ -192,7 +189,7 @@ class Permutation:
         for block, i in enumerate(ranked):
             order[i] = block
             new_starts[block] = moves[i].new_address
-        return order, new_starts, False
+        return order, new_starts
 
     def _address_map(self) -> Tuple[List[int], List[int], List[int]]:
         """Old starts, new starts and sizes, in old address order."""
@@ -272,15 +269,10 @@ def place_blocks(
     end of the last block."""
     sizes = plan.sizes
     new_starts = [0] * len(sizes)
-    if gaps is None:
-        for block in order:
-            new_starts[block] = cursor
-            cursor += sizes[block]
-    else:
-        for block, gap in zip(order, gaps):
-            cursor += gap
-            new_starts[block] = cursor
-            cursor += sizes[block]
+    for block, gap in zip(order, repeat(0) if gaps is None else gaps):
+        cursor += gap
+        new_starts[block] = cursor
+        cursor += sizes[block]
     return new_starts, cursor
 
 
@@ -297,7 +289,7 @@ def generate_permutation(
             f"shuffled blocks cover [{image.text_start:#x}, {end:#x}), "
             f"expected to end at {image.text_end:#x}"
         )
-    return Permutation.from_plan(plan, order, new_starts, end, tiles_text=True)
+    return Permutation.from_plan(plan, order, new_starts, end)
 
 
 def shuffled_symbol_table(image: FirmwareImage, permutation: Permutation) -> SymbolTable:
