@@ -138,9 +138,9 @@ class MavrSystem:
         ISP programming: the running (randomized) image, the parsed
         original with its relocation index, the chip blob, the master's
         RNG stream position, the bytes the ISP last programmed, and every
-        monotonic counter the defense accounting exposes.  :meth:`from_snapshot` is the inverse; that a
-        restored system flies exactly like the captured one is pinned by
-        test.
+        monotonic counter the defense accounting exposes.
+        :meth:`from_snapshot` is the inverse; that a restored system flies
+        exactly like the captured one is pinned by test.
         """
         master = self.master
         if master.current_image is None:
