@@ -8,7 +8,9 @@ for three configurations on two workloads:
 * ``interpreter`` — the reference engine (decode at PC every step);
 * ``compiled_cold`` — the compiled engine with a warm threshold no block
   head ever reaches, so everything retires on the per-instruction cold
-  tier (what code that runs a few times per flash generation gets);
+  tier (what code that runs a few times in a process gets).  Its engine
+  must enter no compiled body: the process-wide block store the
+  ``compiled`` configuration warms cannot lift it, nor loosen the floors;
 * ``compiled`` — the compiled engine at its default threshold, hot heads
   running exec-generated block bodies.
 
@@ -144,7 +146,12 @@ def test_engine_throughput(benchmark, testapp):
         ("firmware", lambda config: _firmware_cpu(testapp, config)),
         ("hot_loop", _hot_loop_cpu),
     ):
-        rates = _measure({config: make_cpu(config) for config in CONFIGS}, budget)
+        cpus = {config: make_cpu(config) for config in CONFIGS}
+        rates = _measure(cpus, budget)
+        entered = cpus["compiled_cold"].engine.compiled_entered
+        assert entered == 0, (
+            f"compiled_cold ran {entered} compiled bodies on {workload}"
+        )
         results["workloads"][workload] = {
             config: round(rate) for config, rate in rates.items()
         }

@@ -12,8 +12,9 @@ per-block or per-instruction cost):
   ``baseline``: the only candidate cost is the same ``is not None``
   check.
 * ``block``    — block-entry attribution via ``engine.profile_hook``:
-  one dict upsert per retired superblock, the fast path otherwise
-  untouched.
+  one list increment per compiled body run (each hot binding carries its
+  head's run counts) and one dict upsert per cold run, the fast path
+  otherwise untouched.
 * ``exact``    — per-instruction attribution via a trace hook, which
   forces the engine down its per-instruction degrade path.  This is the
   documented cost of exactness — measured and reported, no ceiling

@@ -5,7 +5,8 @@ The compiled engine (:mod:`repro.avr.compiled`) retires code in
 and pays the per-instruction retire preamble (pending-interrupt check,
 flash-generation compare, code-limit check) once per block instead of
 once per instruction.  This module holds the fusion rules of its two
-tiers and :func:`fuse`, which turns a head address into a
+tiers, :func:`extent`, which walks the instructions of the hot block at
+a head address, and :func:`fuse`, which turns them into a
 :class:`Superblock`.
 
 Cold-tier rule (:func:`is_terminator`; a run's last instruction is its
@@ -48,10 +49,13 @@ per-instruction engine would have serviced the interrupt.
 
 Invariants:
 
-* blocks are fused from the engine's per-generation decode entries, so
-  they share the decode cache's validity rule: a MAVR reflash or SPM
-  self-write drops every fused block;
-* blocks are keyed by their **entry word address**: jumping into the
+* blocks are fused from the engine's per-generation decode entries and
+  are **position-independent**: every PC a :class:`Superblock` holds is
+  an offset from its head, so one fused block serves the same bytes at
+  any address.  The engine keys them by those bytes (see
+  :mod:`repro.avr.compiled`) and binds them per flash generation, so a
+  MAVR reflash or SPM self-write drops every binding but no block;
+* blocks are bound by their **entry word address**: jumping into the
   second word of a ``call`` (the misaligned-execution property the ROP
   gadget finder exploits) starts a *new* block fused from that address,
   never a reuse of the aligned one;
@@ -137,55 +141,59 @@ def ends_hot_block(insn: Instruction) -> bool:
 
 
 class Superblock:
-    """One fused run of straight-line code starting at ``start`` (words).
+    """One fused run of straight-line code, position-independent.
 
     ``body`` holds every instruction but the terminator as bare
     ``(handler, insn)`` pairs.  ``body_meta`` mirrors ``body`` with
-    ``(next_pc, pc_bytes, cycles_before)`` per slot; it drives the exact
-    counters of a body's guard-failure exits, reconstructs exact
-    per-instruction state when a body instruction faults, and gives the
-    block profiler its per-PC weights.  The terminator is kept unpacked
-    in ``last_*`` fields because it always runs with PC set.
+    ``(next_offset, byte_offset, cycles_before)`` per slot: the word
+    offset of the following instruction and the byte offset of the slot,
+    both from the block head, and the cycles the slots before it cost.
+    It drives the exact counters of a body's guard-failure exits,
+    reconstructs exact per-instruction state when a body instruction
+    faults, and gives the block profiler its per-PC weights; callers add
+    the head's address.  The terminator is kept unpacked in ``last_*``
+    fields because it always runs with PC set; ``words`` is the block's
+    length in words (the terminator's fall-through offset).
     """
 
     __slots__ = (
-        "start",
         "body",
         "body_meta",
         "body_cycles",
         "last_handler",
         "last_insn",
-        "last_next_pc",
+        "last_offset",
         "last_base_cycles",
-        "last_pc_bytes",
+        "words",
         "count",
     )
 
-    def __init__(self, start: int, entries: List[Tuple[int, Decoded]]) -> None:
-        self.start = start
-        last_pc, (last_handler, last_insn, last_size, last_base, _, _) = entries[-1]
+    def __init__(self, entries: List[Decoded]) -> None:
+        *leading, (last_handler, last_insn, last_size, last_base, _, _) = entries
         body = []
         meta = []
+        offset = 0
         cycles = 0
-        for pc, (handler, insn, size, base, _, _) in entries[:-1]:
+        for handler, insn, size, base, _, _ in leading:
             body.append((handler, insn))
-            meta.append((pc + size, pc * 2, cycles))
+            meta.append((offset + size, offset * 2, cycles))
+            offset += size
             cycles += base
         self.body = tuple(body)
         self.body_meta = tuple(meta)
         self.body_cycles = cycles
         self.last_handler = last_handler
         self.last_insn = last_insn
-        self.last_next_pc = last_pc + last_size
+        self.last_offset = offset * 2
         self.last_base_cycles = last_base
-        self.last_pc_bytes = last_pc * 2
+        self.words = offset + last_size
         self.count = len(entries)
 
 
-def fuse(
+def extent(
     start_pc: int, fetch: Callable[[int], Decoded], limit: Optional[int]
-) -> Superblock:
-    """Fuse the hot-tier superblock that begins at ``start_pc``.
+) -> List[Decoded]:
+    """The decode entries of the hot-tier block that begins at ``start_pc``.
 
     Fusion stops after the first instruction whose entry has the
     :func:`ends_hot_block` flag set, or at :data:`FUSE_CAP`.  ``fetch``
@@ -197,20 +205,24 @@ def fuse(
     stop fusion: the offending address becomes its own block head and
     raises the identical error when the PC actually reaches it.
     """
-    entries: List[Tuple[int, Decoded]] = []
-    pc = start_pc
-    while True:
-        if entries:
-            if limit is not None and pc * 2 >= limit:
-                break
-            try:
-                entry = fetch(pc)
-            except IllegalExecutionError:
-                break
-        else:
-            entry = fetch(pc)
-        entries.append((pc, entry))
-        pc += entry[2]
-        if entry[5] or len(entries) >= FUSE_CAP:
+    entry = fetch(start_pc)
+    entries = [entry]
+    pc = start_pc + entry[2]
+    while not entry[5] and len(entries) < FUSE_CAP:
+        if limit is not None and pc * 2 >= limit:
             break
-    return Superblock(start_pc, entries)
+        try:
+            entry = fetch(pc)
+        except IllegalExecutionError:
+            break
+        entries.append(entry)
+        pc += entry[2]
+    return entries
+
+
+def fuse(
+    start_pc: int, fetch: Callable[[int], Decoded], limit: Optional[int]
+) -> Superblock:
+    """Fuse the hot-tier superblock that begins at ``start_pc``
+    (:func:`extent` gives its instructions)."""
+    return Superblock(extent(start_pc, fetch, limit))

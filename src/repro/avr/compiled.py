@@ -5,32 +5,40 @@
 checked against).  It retires code in superblocks (:mod:`repro.avr.blocks`)
 and runs each block head in one of two tiers:
 
-* **Cold tier.**  A head entered fewer than
-  :attr:`CompiledEngine.WARM_THRESHOLD` times in the current flash
-  generation retires through the per-instruction loop over the decode
-  cache, up to the next cold-tier terminator (or
-  :data:`~repro.avr.blocks.FUSE_CAP` instructions) — no fusion, no
-  codegen.  Code that runs a handful of times per generation (boot
-  paths, reflash storms) never pays for more.
-* **Hot tier.**  A head that reaches the threshold is fused into a
-  :class:`~repro.avr.blocks.Superblock` under the hot-tier rule (which
-  fuses through unhooked ``sts``/``out``/``push``) and bound to a
-  compiled *body*: Python source generated for the block (below) and
-  ``exec``-ed into one callable.
+* **Cold tier.**  A head whose block bytes have been entered fewer than
+  :attr:`CompiledEngine.WARM_THRESHOLD` times — counted over the whole
+  process, not per flash generation or per address — retires through
+  the per-instruction loop over the decode cache, up to the next
+  cold-tier terminator (or :data:`~repro.avr.blocks.FUSE_CAP`
+  instructions) — no fusion, no codegen.  Code that runs a handful of
+  times in the process (boot paths) never pays for more.
+* **Hot tier.**  A head whose bytes reach the threshold is bound to the
+  :class:`~repro.avr.blocks.Superblock` fused for those bytes under the
+  hot-tier rule (which fuses through unhooked ``sts``/``out``/``push``)
+  and to its compiled *body*: Python source generated for the block
+  (below) and ``exec``-ed into one callable.  Bytes that got warm in an
+  earlier generation, layout, board or core bind on the head's first
+  entry.
 
 Two process-wide, bounded caches make the tiers cheap across flash
 generations, boards and scenarios:
 
-* **Body cache** (:data:`BODY_CACHE`), keyed by the block's flash
-  *bytes* — for a ``call``/``jmp`` terminator, the bytes before it plus
-  its mnemonic.  Bodies are position-independent: PC constants are
-  emitted relative to the entry ``pc`` argument, a ``call``/``jmp``
-  target is the ``tgt`` argument, and the register file and SREG are
-  passed on every call.  So a body's source is a pure function of its
-  key.  MAVR moves every function on every re-randomization, so a key
-  that included the entry address or an absolute target would miss on
-  nearly every generation; this key keeps hitting, and one body serves
-  every layout, every generation and every core in the process.
+* **Block store** (:data:`BLOCK_STORE`), one :class:`BlockRecord` per
+  block *bytes* — for a ``call``/``jmp`` terminator, the bytes before it
+  plus its mnemonic.  A record holds the bytes' cold-tier entry count,
+  their fused block and, once warm, their body.  Blocks and bodies are
+  position-independent: every PC a block holds is an offset from the
+  head, PC constants in a body are emitted relative to the entry ``pc``
+  argument, a ``call``/``jmp`` target is the ``tgt`` argument, and the
+  register file and SREG are passed on every call.  So a record's
+  contents are a pure function of its key.  MAVR moves every function on
+  every re-randomization, so a key that included the entry address or an
+  absolute target would miss on nearly every generation; this key keeps
+  hitting, and one record serves every layout, every generation and
+  every core in the process.  Each generation finds a head's record once,
+  on the head's first entry, by walking the head's hot-block extent
+  through that generation's decode cache: binding always reads the
+  current flash.
 * **Decode memo** (:data:`DECODE_MEMO`), keyed by the instruction's
   bytes as one int, ``word | next_word << 16`` (``next_word`` is 0 for a
   one-word instruction): re-decoding moved code after a reflash is a
@@ -38,8 +46,9 @@ generations, boards and scenarios:
   fusing reads a field instead of re-evaluating the rules.
 
 A flash-generation switch costs only what the new generation runs: the
-per-generation decode cache is a dict keyed by word address, cleared in
-place, and a miss reads the flash bytes directly (behind
+per-generation state — the decode cache (a dict keyed by word address),
+the head-to-record map and the hot bindings — is cleared in place, and a
+decode miss reads the flash bytes directly (behind
 ``FlashMemory.read_word``'s range check and errors) and looks its key up
 in the memo.
 
@@ -84,13 +93,14 @@ Correctness envelope (pinned by the interpreter-vs-compiled lockstep,
 differential and end-state tests at the default threshold, all-hot and
 all-cold):
 
-* the decode cache, head counts and fused blocks are cleared on every
-  ``FlashMemory.generation`` change, so a reflash or SPM self-write can
-  never execute a stale decode; shared bodies are keyed by content, so
-  they can never be stale;
+* the decode cache, head records and hot bindings are cleared on every
+  ``FlashMemory.generation`` change and every image-limit change, so a
+  reflash or SPM self-write can never execute a stale decode and a block
+  never runs across the current ``code_limit``; shared blocks and bodies
+  are keyed by content, so they can never be stale;
 * a fault inside a body reconstructs the exact per-instruction
-  :class:`~repro.errors.CpuFault` (pc/cycles/retired) from the block's
-  per-position ``body_meta``;
+  :class:`~repro.errors.CpuFault` (pc/cycles/retired) from the head's
+  address and the block's per-position ``body_meta``;
 * interrupts latch any time and are serviced at block boundaries (the
   exact-latency argument in :mod:`repro.avr.blocks`);
 * any attached trace hook degrades execution to an exact per-instruction
@@ -118,6 +128,7 @@ from .blocks import (
     Decoded,
     Superblock,
     ends_hot_block,
+    extent,
     fuse,
     is_terminator,
 )
@@ -961,8 +972,7 @@ def compile_superblock(block: Superblock):
     meta = block.body_meta
     terminator = block.last_insn
     count = block.count
-    start = block.start
-    fall_through = block.last_next_pc - start
+    fall_through = block.words
 
     # Backward flag-liveness: start from "everything live" (the next
     # block reads anything), through the terminator, then the body.
@@ -984,8 +994,8 @@ def compile_superblock(block: Superblock):
     g = _Gen()
     for j, (handler, insn) in enumerate(body):
         mnemonic = insn.mnemonic
-        next_pc, _, cycles_before = meta[j]
-        g.slot = (j, next_pc - start, cycles_before, CYCLES_BY_MNEMONIC[mnemonic])
+        next_offset, _, cycles_before = meta[j]
+        g.slot = (j, next_offset, cycles_before, CYCLES_BY_MNEMONIC[mnemonic])
         emitter = SOURCE_TEMPLATES.get(mnemonic)
         if emitter is not None:
             slot_live = live_sets[j]
@@ -1097,11 +1107,27 @@ class SharedCache:
         return len(self._items)
 
 
-# Compiled bodies by block bytes (~2 KB each).  A testapp campaign shares a
-# few hundred bodies across every layout, plus a few dozen per layout for
-# blocks whose bytes carry a moved absolute target (``call``/``jmp``); the
-# LRU keeps the shared ones hot while layouts that never recur age out.
-BODY_CACHE = SharedCache(1024)
+
+
+class BlockRecord:
+    """What the process knows about one block's bytes: how often a block
+    head holding them was entered on the cold tier (summed over every
+    engine, generation and address), its fused block and, once warm, its
+    compiled body."""
+
+    __slots__ = ("count", "block", "body")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.block: Optional[Superblock] = None
+        self.body = None
+
+
+# Block records by block bytes (a warm one holds a ~2 KB body).  A testapp
+# campaign shares a few hundred across every layout, plus a few dozen per
+# layout whose bytes hold a moved address (mostly ``ldi`` immediates);
+# the LRU keeps the shared ones while layouts that never recur age out.
+BLOCK_STORE = SharedCache(1024)
 # Decoded entries by ``word | next_word << 16``.  A whole ArduPlane image
 # has ~4,200 distinct ones, so the bound holds any image's working set; a
 # hit does no bookkeeping, and a memo that fills up starts over.
@@ -1144,8 +1170,9 @@ class CompiledEngine:
 
     name = "compiled"
 
-    # A block head is fused and bound to a compiled body on this entry
-    # within a flash generation; until then it retires per instruction.
+    # A block head binds to its compiled body once the record of its bytes
+    # has counted this many cold-tier entries (in any generation, layout,
+    # board or core); until then it retires per instruction.
     WARM_THRESHOLD = 8
 
     def __init__(self, cpu) -> None:
@@ -1157,10 +1184,10 @@ class CompiledEngine:
         self._generation: Optional[int] = None
         # per-generation state, cleared together on every flash write
         self._cache: Dict[int, Decoded] = {}  # word address -> decode entry
-        self._heads: Dict[int, int] = {}  # head -> entries this generation
-        self._blocks: Dict[int, Superblock] = {}  # fused heads
-        self._hot: Dict[int, tuple] = {}  # head -> (body, count, block, target)
-        # the image limit the fused blocks were cut at (they never cross it)
+        self._records: Dict[int, BlockRecord] = {}  # head -> its bytes' record
+        # head -> (body, count, block, target, profile run counts or None)
+        self._hot: Dict[int, tuple] = {}
+        # the image limit the head records were cut at (blocks never cross it)
         self._limit: Optional[int] = None
         # telemetry accumulators, sampled pull-style at snapshot time.
         # Decode misses count every trip through ``_entry_at`` (a word
@@ -1169,20 +1196,21 @@ class CompiledEngine:
         # ``instructions_retired - decode_misses``.
         self.rebuilds = 0  # decode-cache resets, one per flash generation
         self.decode_misses = 0
-        self.blocks_built = 0  # heads fused into superblocks
+        self.blocks_built = 0  # blocks fused (block-store records without one)
         self.fusion_lengths: List[int] = []  # append-only build log
         self.blocks_entered = 0  # block heads retired on the cold tier
-        self.compiled_built = 0  # bodies compiled (body-cache misses)
+        self.compiled_built = 0  # bodies compiled (block-store records without one)
         self.compiled_entered = 0  # hot-tier body executions
         self.compile_times_ms: List[float] = []  # append-only build log
         # Block-granularity profiling sink (see repro.avr.profile): when
-        # set, a mutable mapping from Superblock to a list of run counts
-        # indexed by instructions retired, which the run loop upserts
-        # inline once per block run — a dict lookup, not a Python call,
-        # so the fast path stays fast.
-        # While it is set, cold heads are fused (never compiled) so their
-        # retirements are attributed too.
+        # set, a mutable mapping from ``(head, Superblock)`` to a list of
+        # run counts indexed by instructions retired.  A hot binding
+        # carries its head's list, so the run loop counts a body run with
+        # one list increment — no lookup, no Python call.  While it is
+        # set, cold heads are fused (never compiled) so their retirements
+        # are attributed too.
         self.profile_hook = None
+        self._bound_profile = None  # the sink the hot bindings count into
 
     @property
     def cpu(self):
@@ -1199,17 +1227,17 @@ class CompiledEngine:
         flash = self._flash
         if flash.generation != self._generation:
             self._cache.clear()
-            self._heads.clear()
-            self._blocks.clear()
+            self._records.clear()
             self._hot.clear()
             self._generation = flash.generation
             self.rebuilds += 1
 
     def _sync_limit(self) -> Optional[int]:
-        """Drop fused and hot blocks if the image limit moved under them."""
+        """Drop head records and hot bindings if the image limit moved
+        under them."""
         limit = self.cpu.code_limit
         if limit != self._limit:
-            self._blocks.clear()
+            self._records.clear()
             self._hot.clear()
             self._limit = limit
         return limit
@@ -1262,46 +1290,78 @@ class CompiledEngine:
         self._sync_cache()
         return self._fetch(pc)[:4]
 
-    # -- fusion and the hot tier ----------------------------------------------
+    # -- the block store and the hot tier -----------------------------------
 
-    def _fuse(self, pc: int) -> Superblock:
-        """The fused block at head ``pc`` (built once per generation and
-        image limit; callers have run :meth:`_sync_limit`)."""
-        block = self._blocks.get(pc)
+    def _record(self, pc: int) -> BlockRecord:
+        """The block-store record of the hot block at head ``pc``, found on
+        the head's first entry in this generation and image limit.
+
+        The head's hot-block extent is walked through the decode cache
+        and read from the current flash; the key is the block's bytes,
+        or, for a ``call``/``jmp`` terminator, the bytes before it plus
+        its mnemonic (the absolute target is the body's ``tgt``
+        argument, so a moved callee shares the record).  Callers have run
+        :meth:`_sync_limit`.
+        """
+        entries = extent(pc, self._fetch, self._limit)
+        words = 0
+        for entry in entries:
+            words += entry[2]
+        last = entries[-1][1]
+        if last.mnemonic in TARGET_ARGUMENT:
+            key = (self._flash.dump(pc * 2, (words - 2) * 2), last.mnemonic)
+        else:
+            key = self._flash.dump(pc * 2, words * 2)
+        record = BLOCK_STORE.get(key)
+        if record is None:
+            record = BlockRecord()
+            BLOCK_STORE.put(key, record)
+        self._records[pc] = record
+        return record
+
+    def _block(self, pc: int, record: BlockRecord) -> Superblock:
+        """The record's fused block, fused at head ``pc`` if it has none
+        (a block is fused once per bytes, not once per head)."""
+        block = record.block
         if block is None:
-            block = self._blocks[pc] = fuse(pc, self._fetch, self._limit)
+            block = record.block = fuse(pc, self._fetch, self._limit)
             self.blocks_built += 1
             self.fusion_lengths.append(block.count)
         return block
 
-    def _promote(self, pc: int) -> None:
-        """Fuse head ``pc`` and bind it to its body from the shared cache.
-
-        The key is the block's bytes; for a ``call``/``jmp`` terminator it
-        is the bytes before it plus its mnemonic, and the absolute target
-        rides along in ``_hot`` as the body's ``tgt`` argument, so a moved
-        callee does not cost a compile.
-        """
-        block = self._fuse(pc)
-        flash = self._flash
-        last = block.last_insn
-        if last.mnemonic in TARGET_ARGUMENT:
-            key = (flash.dump(pc * 2, block.last_pc_bytes - pc * 2), last.mnemonic)
-            target = last.k
-        else:
-            key = flash.dump(pc * 2, (block.last_next_pc - pc) * 2)
-            target = None
-        body = BODY_CACHE.get(key)
+    def _bind(self, pc: int, record: BlockRecord) -> None:
+        """Bind head ``pc`` to its record's body, compiling it if the
+        record has none; a ``call``/``jmp`` target comes from this
+        generation's decode of the terminator."""
+        block = self._block(pc, record)
+        body = record.body
         if body is None:
             start = time.perf_counter()
             body, _source = compile_superblock(block)
             self.compile_times_ms.append((time.perf_counter() - start) * 1000.0)
             self.compiled_built += 1
-            BODY_CACHE.put(key, body)
-        self._hot[pc] = (body, block.count, block, target)
+            record.body = body
+        target = None
+        if block.last_insn.mnemonic in TARGET_ARGUMENT:
+            target = self._fetch(pc + (block.last_offset >> 1))[1].k
+        runs = None
+        if self._bound_profile is not None:
+            runs = self._profile_runs(pc, block)
+        self._hot[pc] = (body, block.count, block, target, runs)
 
-    def _raise_compiled_fault(self, block: Superblock, fault: CompiledBodyFault):
-        """Translate a body fault into the exact per-instruction CpuFault.
+    def _profile_runs(self, pc: int, block: Superblock) -> List[int]:
+        """The profiling sink's run counts of ``block`` at head ``pc``."""
+        profile = self._bound_profile
+        runs = profile.get((pc, block))
+        if runs is None:
+            runs = profile[(pc, block)] = [0] * (block.count + 1)
+        return runs
+
+    def _raise_compiled_fault(
+        self, pc: int, block: Superblock, fault: CompiledBodyFault
+    ):
+        """Translate a fault in the body bound at head ``pc`` into the
+        exact per-instruction CpuFault.
 
         The slot comes from the body's ``_fi`` index, never from object
         identity: the decode memo shares ``Instruction`` objects, so two
@@ -1316,15 +1376,15 @@ class CompiledEngine:
         if fault.index < 0:
             slot = -1 - fault.index
             if slot < len(block.body):
-                pc_bytes = block.body_meta[slot][1]
+                offset = block.body_meta[slot][1]
             else:
-                pc_bytes = block.last_pc_bytes
-            raise CpuFault(str(exc), pc_bytes, cpu.cycles) from exc
-        next_pc, pc_bytes, cycles_before = block.body_meta[fault.index]
-        cpu.pc = next_pc
+                offset = block.last_offset
+            raise CpuFault(str(exc), pc * 2 + offset, cpu.cycles) from exc
+        next_offset, offset, cycles_before = block.body_meta[fault.index]
+        cpu.pc = pc + next_offset
         cpu.cycles += cycles_before
         cpu.instructions_retired += fault.index
-        raise CpuFault(str(exc), pc_bytes, cpu.cycles) from exc
+        raise CpuFault(str(exc), pc * 2 + offset, cpu.cycles) from exc
 
     # -- execution ------------------------------------------------------------
 
@@ -1378,11 +1438,15 @@ class CompiledEngine:
         generation = self._generation
         fused_limit = self._sync_limit()
         cache_get = self._cache.get
-        heads = self._heads
+        records_get = self._records.get
         hot_get = self._hot.get
         entry_at = self._entry_at
         threshold = self.WARM_THRESHOLD
         profile = self.profile_hook
+        if profile is not self._bound_profile:
+            # bindings count body runs into the sink they were bound under
+            self._hot.clear()
+            self._bound_profile = profile
         remaining = max_instructions
         entered = 0
         cold_runs = 0
@@ -1403,7 +1467,7 @@ class CompiledEngine:
                 if hot is not None and limit == fused_limit:
                     # fused inside this very image limit, which implies the
                     # preamble's limit check
-                    body, count, block, target = hot
+                    body, count, block, target, runs = hot
                     if count <= remaining:
                         try:
                             retired = body(cpu, buf, sreg, pc, target)
@@ -1413,27 +1477,24 @@ class CompiledEngine:
                             cpu.instructions_retired += 1
                             retired = count
                         except CompiledBodyFault as fault:
-                            self._raise_compiled_fault(block, fault)
+                            self._raise_compiled_fault(pc, block, fault)
                         remaining -= retired
                         entered += 1
-                        if profile is not None:
-                            # inline upsert: a method call per block is measurable
-                            runs = profile.get(block)
-                            if runs is None:
-                                runs = profile[block] = [0] * (count + 1)
+                        if runs is not None:
                             runs[retired] += 1
                         continue
+                    record = records_get(pc)  # bound, so recorded
                 else:
                     if limit is not None and pc * 2 >= limit:
                         raise _out_of_image_error(pc * 2, limit)
                     if limit != fused_limit:
                         fused_limit = self._sync_limit()
-                    seen = heads.get(pc, 0) + 1
-                    heads[pc] = seen
-                    if seen >= threshold:
+                    record = records_get(pc) or self._record(pc)
+                    record.count += 1
+                    if record.count >= threshold:
                         # re-dispatch: the preamble is idempotent, and the
-                        # new body runs through the hot path above
-                        self._promote(pc)
+                        # bound body runs through the hot path above
+                        self._bind(pc, record)
                         continue
 
                 # Cold tier (or a budget tail shorter than the hot block):
@@ -1448,7 +1509,8 @@ class CompiledEngine:
                 block = None
                 if profile is not None:
                     # a cold run retires a prefix of the head's hot block
-                    block = self._fuse(pc)
+                    head = pc
+                    block = self._block(pc, record)
                     if block.count < stop:
                         stop = block.count
                 retired = 0  # the run's length so far
@@ -1505,10 +1567,7 @@ class CompiledEngine:
                 remaining -= retired
                 cold_runs += 1
                 if block is not None:
-                    runs = profile.get(block)
-                    if runs is None:
-                        runs = profile[block] = [0] * (block.count + 1)
-                    runs[retired] += 1
+                    self._profile_runs(head, block)[retired] += 1
         finally:
             self.compiled_entered += entered
             self.blocks_entered += cold_runs

@@ -8,12 +8,13 @@ precision against engine speed:
   instruction's true cycle delta to its PC.  Works on both engines and
   sums *exactly* to the CPU cycle counter, but trace hooks force the
   compiled engine down its per-instruction degrade path.
-* ``block`` — a mapping on ``engine.profile_hook`` from each superblock
-  to its run counts by instructions retired: the fast engine stays fast
-  (one ``is not None`` check plus one dict lookup and list increment
-  per superblock run, no Python-level call)
-  and the per-PC weights are reconstructed at snapshot time from each
-  block's cached cycle layout.  A run charges exactly the first
+* ``block`` — a mapping on ``engine.profile_hook`` from each block head
+  and the superblock bound there to its run counts by instructions
+  retired: the fast engine stays fast (one ``is not None`` check plus
+  one dict lookup and list increment per superblock run, no
+  Python-level call) and the per-PC weights are reconstructed at
+  snapshot time from each block's cached cycle layout, placed at its
+  head (one superblock serves the same bytes at every address).  A run charges exactly the first
   ``retired`` instructions of its block: a compiled body that leaves
   early at a hooked access, and a cold run (which stops at the first
   store, so it can be shorter than the hot block fused at its head).
@@ -40,6 +41,7 @@ software shadow stack would be a guaranteed false positive.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from ..telemetry.profiler import (
@@ -116,7 +118,7 @@ class AvrProfiler:
         # {pc_bytes: [hits, cycles]} — exact/heatmap fill this directly,
         # block mode expands into it at snapshot time.
         self._samples: Dict[int, List[int]] = {}
-        self._block_counts: Dict[object, List[int]] = {}
+        self._block_counts: Dict[Tuple[int, object], List[int]] = {}
         self._last_cycles = 0
         self._cpu = None
         self._engine = None
@@ -138,10 +140,14 @@ class AvrProfiler:
         self.table = table_for_symbols(symbols)
 
     def attach(self, cpu, engine=None) -> "AvrProfiler":
-        """Hook into ``cpu`` (and, for block mode, its engine)."""
+        """Hook into ``cpu`` (and, for block mode, its engine).
+
+        The core is held weakly: its trace hooks hold this profiler, and
+        a profiler that outlives its board must not keep the core alive.
+        """
         if self._cpu is not None:
             raise RuntimeError("profiler is already attached")
-        self._cpu = cpu
+        self._cpu = weakref.ref(cpu)
         self._last_cycles = cpu.cycles_lifetime + cpu.cycles
         self._lifetime_seen = cpu.cycles_lifetime
         if self.mode == "block" and engine is not None and (
@@ -163,9 +169,10 @@ class AvrProfiler:
             if self._engine.profile_hook is self._block_counts:
                 self._engine.profile_hook = None
             self._engine = None
-        if self._cpu is not None and self._hook is not None:
+        cpu = self._cpu() if self._cpu is not None else None
+        if cpu is not None and self._hook is not None:
             try:
-                self._cpu.trace_hooks.remove(self._hook)
+                cpu.trace_hooks.remove(self._hook)
             except ValueError:
                 pass
         self._cpu = None
@@ -280,12 +287,13 @@ class AvrProfiler:
     # -- reporting --------------------------------------------------------
 
     def _block_runs(self):
-        """``(block, retired, runs)``: ``runs`` runs of the block's first
-        ``retired`` instructions, from the engine's block counts."""
-        for block, counts in self._block_counts.items():
+        """``(head, block, retired, runs)``: ``runs`` runs of the first
+        ``retired`` instructions of the block bound at word address
+        ``head``, from the engine's block counts."""
+        for (head, block), counts in self._block_counts.items():
             for retired, runs in enumerate(counts):
                 if runs:
-                    yield block, retired, runs
+                    yield head, block, retired, runs
 
     def _expanded_samples(self) -> Dict[int, List[int]]:
         """Block counts unfolded to per-PC samples (block mode only)."""
@@ -303,18 +311,19 @@ class AvrProfiler:
                 cell[0] += hits
                 cell[1] += cycles
 
-        for block, retired, count in self._block_runs():
+        for head, block, retired, count in self._block_runs():
             meta = block.body_meta
             body_cycles = block.body_cycles
-            for index, (_, pc_bytes, before) in enumerate(meta[:retired]):
+            at = head * 2
+            for index, (_, offset, before) in enumerate(meta[:retired]):
                 if index + 1 < len(meta):
                     weight = meta[index + 1][2] - before
                 else:
                     weight = body_cycles - before
-                charge(pc_bytes, count, weight * count)
+                charge(at + offset, count, weight * count)
             if retired == block.count:
                 charge(
-                    block.last_pc_bytes, count, block.last_base_cycles * count
+                    at + block.last_offset, count, block.last_base_cycles * count
                 )
         return samples
 

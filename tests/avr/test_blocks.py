@@ -15,6 +15,7 @@ import pytest
 
 from repro.avr import (
     AvrCpu,
+    AvrProfiler,
     CpuStateStream,
     Instruction,
     Mnemonic,
@@ -23,6 +24,7 @@ from repro.avr import (
     encode_stream,
 )
 from repro.avr.blocks import FUSE_CAP, TERMINATORS, WRITE_CAPABLE
+from repro.avr.compiled import BLOCK_STORE
 from repro.errors import CpuFault, IllegalExecutionError
 
 I = Instruction
@@ -30,6 +32,13 @@ M = Mnemonic
 
 HOOK_ADDR = 0x0300  # an ordinary SRAM byte, hooked like a peripheral register
 NEVER = 1 << 62  # a warm threshold no head ever reaches: all cold
+
+
+@pytest.fixture(autouse=True)
+def cold_block_store():
+    """Fusion counts below assume no block bytes were entered earlier in
+    the process, so every test starts with an empty block store."""
+    BLOCK_STORE.clear()
 
 
 def _cpu(program, engine="compiled", setup=None, warm=NEVER):
@@ -99,7 +108,8 @@ def test_cold_runs_stop_where_blocks_would():
     body = [I(M.INC, rd=16) for _ in range(FUSE_CAP + 8)]
     cpu = _cpu(body + [I(M.RJMP, k=-(len(body) + 1))])
     cpu.run(2 * (len(body) + 1))
-    assert cpu.engine._heads == {0: 2, FUSE_CAP: 2}
+    counts = {head: record.count for head, record in cpu.engine._records.items()}
+    assert counts == {0: 2, FUSE_CAP: 2}
     assert cpu.engine.blocks_built == 0
 
 
@@ -141,7 +151,7 @@ def test_hot_blocks_end_at_register_sreg_pointer_and_bit_stores():
     cold = _cpu(program, setup=lambda c: c.data.write_block(26, b"\x00\x03"))
     cold.data.sp = 0x21F0
     cold.run(100)
-    assert sorted(cold.engine._heads) == [0, 1, 2, 3, 5, 7, 9, 11, 12, 13, 14]
+    assert sorted(cold.engine._records) == [0, 1, 2, 3, 5, 7, 9, 11, 12, 13, 14]
 
 
 def test_bclr_of_i_flag_does_not_terminate():
@@ -293,12 +303,50 @@ def test_misaligned_entry_starts_its_own_block():
 
     cpu = _cpu(program, warm=1)
     cpu.run(3)
-    blocks = cpu.engine._blocks
-    assert blocks[0].count == 1          # [call] — control flow terminates
+    records = cpu.engine._records
+    assert records[0].block.count == 1   # [call] — control flow terminates
     cpu.pc = 1
     cpu.run(10)
-    assert blocks[1].count == 2          # [nop, break] fused from word 1
+    assert records[1].block.count == 2   # [nop, break] fused from word 1
     assert cpu.engine.blocks_built == 2
+
+
+# -- one block, many heads ------------------------------------------------
+
+
+@pytest.mark.parametrize("warm", (1, 8, NEVER), ids=("hot", "default", "cold"))
+def test_block_profile_attributes_per_pc_when_bytes_run_at_two_heads(warm):
+    """Two subroutines with the same bytes share one record and one fused
+    block; block-mode profiling still charges each head's own PCs,
+    exactly as per-instruction profiling does."""
+    program = [
+        I(M.LDI, rd=20, k=5),
+        I(M.RCALL, k=4),                 # word 1 -> first copy (word 6)
+        I(M.RCALL, k=6),                 # word 2 -> second copy (word 9)
+        I(M.DEC, rd=20),
+        I(M.BRBC, b=1, k=-4),            # brne word 1
+        I(M.BREAK),                      # word 5
+        I(M.INC, rd=16), I(M.INC, rd=17), I(M.RET),  # words 6-8
+        I(M.INC, rd=16), I(M.INC, rd=17), I(M.RET),  # words 9-11
+    ]
+    samples = {}
+    for engine in ("interpreter", "compiled"):
+        cpu = _cpu(program, engine=engine, warm=warm)
+        profiler = AvrProfiler(mode="block").attach(cpu, cpu.engine)
+        cpu.run(200)
+        assert cpu.halted
+        samples[engine] = profiler._expanded_samples()
+    # per-PC hits everywhere; cycles too on the copies, which take no
+    # branch (block mode cannot see a taken branch's extra cycle)
+    assert ({pc: hits for pc, (hits, _) in samples["compiled"].items()}
+            == {pc: hits for pc, (hits, _) in samples["interpreter"].items()})
+    copies = range(12, 24, 2)  # byte addresses of words 6-11
+    assert ([samples["compiled"][pc] for pc in copies]
+            == [samples["interpreter"][pc] for pc in copies])
+    assert samples["compiled"][12][0] == samples["compiled"][18][0] == 5
+    records = cpu.engine._records
+    assert records[6] is records[9]  # one record and one block, two heads
+    assert records[6].block is not None
 
 
 # -- budget exactness -----------------------------------------------------

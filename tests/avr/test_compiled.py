@@ -5,7 +5,7 @@ identical* to per-instruction retirement — identical flag algebra on
 randomized ALU programs, interrupts serviced at the exact same points,
 identical crashes with identical fault state, no stale code after a
 flash write — while the tiering machinery itself (warm threshold, the
-process-wide body cache keyed by block bytes, the decode memo, liveness
+process-wide block store keyed by block bytes, the decode memo, liveness
 elision, trace-hook degradation) behaves as documented.  The cold tier
 and the fusion rules are covered in ``test_blocks.py``.
 """
@@ -26,7 +26,7 @@ from repro.avr import (
 )
 from repro.avr.blocks import WRITE_CAPABLE
 from repro.avr.compiled import (
-    BODY_CACHE,
+    BLOCK_STORE,
     DECODE_MEMO,
     SOURCE_TEMPLATES,
     SharedCache,
@@ -47,7 +47,7 @@ NEVER = 1 << 62  # a warm threshold no head ever reaches: all cold
 def cold_shared_caches():
     """Compile counts below assume no body was compiled earlier in the
     process, so every test starts with empty process-wide caches."""
-    BODY_CACHE.clear()
+    BLOCK_STORE.clear()
     DECODE_MEMO.clear()
 
 
@@ -140,7 +140,7 @@ def test_generated_source_folds_terminator_and_elides_dead_flags():
     ]
     cpu = _cpu(program, warm=1)
     cpu.run(8)
-    [block] = cpu.engine._blocks.values()
+    [block] = [record.block for record in cpu.engine._records.values()]
     _fn, source = compile_superblock(block)
     # inline terminator: jump target (relative to the entry pc) and
     # retire count folded to constants, no handler call left in the body
@@ -397,8 +397,9 @@ def test_spm_write_mid_run_invalidates_compiled_blocks():
 
 def test_repeated_reflash_does_not_grow_the_compiled_cache():
     """Every generation change drops the per-generation state, and the
-    shared body cache serves the re-fused block: N reflash cycles of the
-    same bytes compile once and never accumulate bodies or decodes."""
+    shared block store serves the rebound block: N reflash cycles of the
+    same bytes fuse and compile once and never accumulate records,
+    bodies or decodes."""
     cpu = _cpu(_hot_loop(6), warm=1)
     engine = cpu.engine
     for generation in range(8):
@@ -407,10 +408,10 @@ def test_repeated_reflash_does_not_grow_the_compiled_cache():
         # reflash word 0 in place (same instruction, new generation)
         cpu.flash.write_word(0, encode(I(M.INC, rd=16))[0])
         cpu.reset()
-    assert engine.blocks_built == 8  # re-fused once per generation...
-    assert engine.compiled_built == 1  # ...but compiled once, by its bytes
+    assert engine.blocks_built == 1  # fused once, by its bytes...
+    assert engine.compiled_built == 1  # ...and compiled once
     assert len(engine.compile_times_ms) == 1
-    assert len(BODY_CACHE) == 1
+    assert len(BLOCK_STORE) == 1
     assert len(DECODE_MEMO) == 5  # four distinct `inc`s and the `rjmp`
 
 
@@ -467,7 +468,7 @@ def test_different_bytes_never_share_a_body():
                 I(M.INC, rd=18), I(M.BREAK)]            # words 5-6
 
     for branch in (M.JMP, M.CALL):
-        BODY_CACHE.clear()
+        BLOCK_STORE.clear()
         built = []
         for reg, target in ((16, 3), (16, 5), (19, 3)):
             reference = _at_base(program(reg, branch, target), 0,
@@ -481,7 +482,90 @@ def test_different_bytes_never_share_a_body():
         # [inc r16, branch] compiles once for both targets, each landing
         # block once; [inc r19, branch] is other bytes and compiles anew
         assert built == [2, 1, 1], branch
-        assert len(BODY_CACHE) == 4
+        assert len(BLOCK_STORE) == 4
+
+
+def test_block_warm_before_a_move_binds_on_its_first_entry_after_it():
+    """Warm-up belongs to a block's bytes for the whole process: after a
+    reflash moves a hot loop, its first entry at the new address runs the
+    body, with no cold run, no fusion and no compile."""
+    program = _hot_loop(6)
+    cores = [_at_base(program, 0x40, engine=engine)
+             for engine in ("interpreter", "compiled")]
+    for cpu in cores:
+        cpu.run(7 * (CompiledEngine.WARM_THRESHOLD + 2))
+    engine = cores[1].engine
+    assert engine.compiled_entered > 0
+    counters = (engine.blocks_entered, engine.blocks_built, engine.compiled_built)
+    entered = engine.compiled_entered
+    for cpu in cores:
+        cpu.load_program(encode_stream(program), offset=0x1234 * 2)  # the move
+        cpu.reset()
+        cpu.pc = 0x1234
+        cpu.run(7)
+    assert (engine.blocks_entered, engine.blocks_built,
+            engine.compiled_built) == counters
+    assert engine.compiled_entered == entered + 1
+    assert _state(cores[1]) == _state(cores[0])
+
+
+def test_never_threshold_engine_never_binds_to_known_bytes():
+    """A threshold is the engine's own: bytes another core made warm (and
+    compiled) still run on the cold tier of an engine whose threshold is
+    never reached."""
+    program = _hot_loop(6)
+    warm = _at_base(program, 0x40, warm=1)
+    warm.run(70)
+    assert warm.engine.compiled_built == 1
+    cold = _at_base(program, 0x40, warm=NEVER)
+    reference = _at_base(program, 0x40, engine="interpreter")
+    assert cold.run(70) == reference.run(70) == 70
+    assert cold.engine.compiled_entered == 0
+    assert cold.engine.blocks_entered == 10
+    assert cold.engine.blocks_built == 0
+    assert _state(cold) == _state(reference)
+
+
+@pytest.mark.parametrize("program", [
+    [I(M.LDI, rd=16, k=5), I(M.LDS, rd=17, k=0xBEEF),  # in-line callout
+     I(M.INC, rd=16), I(M.BREAK)],
+    [I(M.LDI, rd=16, k=0x00), I(M.OUT, a=0x3D, rr=16),  # SP = 0x2200, so the
+     I(M.LDI, rd=16, k=0x22), I(M.OUT, a=0x3E, rr=16),  # push's guard fails
+     I(M.INC, rd=17), I(M.PUSH, rr=17), I(M.INC, rd=19), I(M.BREAK)],
+], ids=("callout", "guard-exit"))
+def test_fault_in_a_body_bound_elsewhere_reconstructs_exact_state(program):
+    """A body fused and compiled at one address faults at another with the
+    interpreter's pc, cycles and retired count there."""
+    first = _at_base(program, 0x40, warm=1)
+    with pytest.raises(CpuFault):
+        first.run(20)
+    assert first.engine.compiled_built > 0
+    faults = {}
+    for engine in ("interpreter", "compiled"):
+        cpu = _at_base(program, 0x1234, engine=engine, warm=1
+                       if engine == "compiled" else None)
+        with pytest.raises(CpuFault) as excinfo:
+            cpu.run(20)
+        fault = excinfo.value
+        faults[engine] = (str(fault), fault.pc, fault.cycles, _state(cpu))
+    assert 0x1234 in cpu.engine._hot  # the first core's body faulted...
+    assert cpu.engine.compiled_built == 0  # ...bound, not compiled, here
+    assert faults["compiled"] == faults["interpreter"]
+    assert faults["compiled"][1] >= 0x1234 * 2
+
+
+def test_block_store_stays_within_its_limit(monkeypatch):
+    """Records beyond the store's limit evict the least recently used, so
+    reflashing ever new bytes never grows the store past it."""
+    monkeypatch.setattr(BLOCK_STORE, "limit", 3)
+    cpu = _cpu([I(M.BREAK)], warm=1)
+    for reg in range(16, 26):
+        cpu.load_program(encode_stream([I(M.INC, rd=reg), I(M.BREAK)]))
+        cpu.reset()
+        cpu.run(10)
+        assert cpu.data.read_reg(reg) == 1
+        assert len(BLOCK_STORE) <= 3
+    assert cpu.engine.compiled_built == 10
 
 
 def test_decode_memo_turns_redecoding_moved_code_into_lookups():
@@ -537,7 +621,7 @@ def test_misaligned_entry_compiles_its_own_block():
     hot = cpu.engine._hot
     assert hot[0][1] == 1                # [call] — control flow terminates
     assert hot[1][1] == 2                # [nop, break] compiled from word 1
-    assert len(BODY_CACHE) == 2          # two distinct bodies, no sharing
+    assert len(BLOCK_STORE) == 2         # two distinct bodies, no sharing
 
 
 # -- image limit ------------------------------------------------------------

@@ -11,8 +11,12 @@ operand word of a two-word ``lds``/``sts``, which then runs as an
 instruction of its own.  They also drive SP to the edges of the guarded stack
 range (around 0x5F/0x60 and RAMEND) before a push, pop, call or return,
 and store to a peripheral whose write hook requests an interrupt, with
-and without ``sei`` first.  Each program is loaded at two base addresses
-on two cores — the swarm shape: the second core's blocks have the same
+and without ``sei`` first, and store to a peripheral whose write hook
+rewrites a flash word SPM-style, in the middle of a block: a word of the
+running block (before or after the store), of a later block, or a word
+written back with its own bytes, so the block holding it keeps bytes
+the shared block store already knows.  Each program is loaded at two
+base addresses on two cores — the swarm shape: the second core's blocks have the same
 bytes at other addresses, so they run the first core's compiled bodies —
 and the cores run alternately in small ``run(n)`` chunks, with hooks on
 stack and SRAM bytes added or removed between chunks, and with flash
@@ -42,7 +46,7 @@ from repro.avr import (
     encode,
     encode_stream,
 )
-from repro.avr.compiled import BODY_CACHE
+from repro.avr.compiled import BLOCK_STORE
 from repro.avr.memory import DATA_SPACE_SIZE, RAMEND
 from repro.errors import AvrError
 
@@ -55,6 +59,7 @@ THRESHOLDS = (1, CompiledEngine.WARM_THRESHOLD, NEVER)
 WRITE_HOOKED = (0x0300, 0x0301)  # 0x0301's hook overrides the stored byte
 READ_HOOKED = 0x0302  # reads return a running counter
 IRQ_HOOKED = 0x0306  # writes request IRQ_VECTOR
+SPM_HOOKED = 0x0308  # writes rewrite a flash word of the running copy
 ADDRESSES = (0x02FE, 0x0300, 0x0301, 0x0302, 0x0304, 0x0310)
 # sts/lds only: a register, SREG and SPL/SPH (never LOOP_REG)
 CONSTANT_ONLY = (0x0005, 0x0010, 0x005F, 0x005D, 0x005E)
@@ -194,6 +199,15 @@ def irq_op(draw):
 
 
 @st.composite
+def spm_op(draw):
+    """A store whose write hook rewrites a flash word of the copy (see
+    :func:`_spm_rewrite`), between straight-line code of the same block."""
+    store = I(M.STS, k=SPM_HOOKED, rr=draw(st.integers(0, 31)))
+    return (draw(st.lists(alu_op(), max_size=2)) + [store]
+            + draw(st.lists(alu_op(), max_size=3)))
+
+
+@st.composite
 def operand_landing(draw):
     """An ``ijmp`` onto the second word of a two-word ``lds``/``sts``: the
     address operand then executes as an instruction."""
@@ -209,9 +223,12 @@ def operand_landing(draw):
 def item(draw, subs):
     """A main-line item: straight code, a forward branch, a direct or
     indirect call, a push or pop, a stack-edge access, an
-    interrupt-requesting store or a jump onto an operand word.  Branch,
-    call and Z operands are symbolic until layout."""
-    kind = draw(st.integers(0, 13))
+    interrupt-requesting store, a flash-rewriting store or a jump onto an
+    operand word.  Branch, call and Z operands are symbolic until
+    layout."""
+    kind = draw(st.integers(0, 14))
+    if kind == 14:
+        return draw(spm_op())
     if kind == 10:
         return draw(sp_edge_op(subs))
     if kind == 11:
@@ -355,7 +372,19 @@ def at_base(program, base):
     return resolved
 
 
-def _core(program, base, engine, threshold=None):
+def _spm_rewrite(cpu, rewrite, base, words):
+    """Rewrite the flash word ``delta`` words from the instruction after
+    the store (wrapped into the copy of ``words`` words at ``base``) with
+    ``insn``, or with its own bytes when ``insn`` is ``None``."""
+    delta, insn = rewrite
+    address = base + (cpu.pc + delta - base) % words
+    word = cpu.flash.read_word(address) if insn is None else encode(insn)[0]
+    cpu.flash.write_word(address, word)
+
+
+def _core(program, base, engine, threshold=None, rewrites=()):
+    """A core running ``program`` at ``base``; its ``SPM_HOOKED`` store
+    applies ``rewrites`` in turn (:func:`_spm_rewrite`)."""
     cpu = AvrCpu(engine=engine)
     cpu.load_program(encode_stream([I(M.RETI)]), offset=IRQ_VECTOR * 4)
     cpu.load_program(encode_stream(at_base(program, base)), offset=base * 2)
@@ -381,8 +410,20 @@ def _core(program, base, engine, threshold=None):
             return cpu.data._bytes[address]
         return len(log)
 
+    words = len(encode_stream(at_base(program, 0))) // 2
+    spm_writes = [0]
+
+    def spm_hook(address, value):
+        log.append(("w", address, value) + counters())
+        if rewrites:
+            rewrite = rewrites[spm_writes[0] % len(rewrites)]
+            spm_writes[0] += 1
+            _spm_rewrite(cpu, rewrite, base, words)
+        return None
+
     for address in WRITE_HOOKED + (IRQ_HOOKED,):
         cpu.data.add_write_hook(address, write_hook)
+    cpu.data.add_write_hook(SPM_HOOKED, spm_hook)
     cpu.data.add_read_hook(READ_HOOKED, read_hook)
     return cpu, log
 
@@ -430,18 +471,19 @@ def _run_chunk(cpu, n):
 
 
 def check_program(program, chunks, threshold, budget=3000, toggles=(),
-                  reflashes=()):
+                  reflashes=(), rewrites=()):
     """Both bases on both engines, alternately, chunk by chunk, until every
     core halts or faults or has retired ``budget`` instructions.  Before
     chunk ``i`` the hook ``toggles[i % len(toggles)]`` (if any; ``None``
     toggles nothing) flips, and the generation switch
     ``reflashes[i % len(reflashes)]`` (see :func:`_reflash`; ``None``
-    switches nothing) applies, on both engines of the core about to run."""
+    switches nothing) applies, on both engines of the core about to run.
+    Every core's flash-rewriting store applies ``rewrites`` in turn."""
     words = len(encode_stream(at_base(program, 0))) // 2
     cores = []
     for base in BASES:
-        reference = _core(program, base, "interpreter")
-        subject = _core(program, base, "compiled", threshold)
+        reference = _core(program, base, "interpreter", rewrites=rewrites)
+        subject = _core(program, base, "compiled", threshold, rewrites)
         cores.append([reference, subject, False, base])
     for step, n in enumerate(itertools.cycle(chunks)):
         live = [core for core in cores if not core[2]]
@@ -473,16 +515,22 @@ reflash_lists = st.lists(
               st.tuples(st.just("rewrite"), st.integers(0, 255), alu_op())),
     max_size=6,
 )
+# (delta, insn or None): from the store's own two words (-2, -1) through
+# the rest of its block to later blocks
+rewrite_lists = st.lists(
+    st.tuples(st.integers(-2, 8), st.one_of(st.none(), alu_op())),
+    max_size=4,
+)
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS, ids=("hot", "default", "cold"))
 @settings(max_examples=25, deadline=None)
 @given(program=programs(), chunks=chunk_lists, toggles=toggle_lists,
-       reflashes=reflash_lists)
+       reflashes=reflash_lists, rewrites=rewrite_lists)
 def test_shared_bodies_match_interpreter(threshold, program, chunks, toggles,
-                                         reflashes):
+                                         reflashes, rewrites):
     check_program(program, chunks, threshold, toggles=toggles,
-                  reflashes=reflashes)
+                  reflashes=reflashes, rewrites=rewrites)
 
 
 def _counted_access_program(access):
@@ -539,7 +587,7 @@ def test_hooks_toggled_on_a_call_frame_between_chunks(toggle):
 def test_second_core_runs_the_first_cores_bodies():
     """The swarm shape really shares: at threshold 1 the copy at the
     second base compiles nothing of its own."""
-    BODY_CACHE.clear()
+    BLOCK_STORE.clear()
     program = assemble([("loop", 4, [[I(M.INC, rd=16)], [("rcall", 0)]])],
                        [[[I(M.STS, k=WRITE_HOOKED[0], rr=16)]]])
     engines = []
@@ -588,3 +636,25 @@ def test_generation_switches_under_hot_bodies_match_interpreter():
                  + [("rewrite", 2, I(M.INC, rd=20))] * 2)
     for threshold in THRESHOLDS:
         check_program(program, [40], threshold, reflashes=reflashes)
+
+
+@pytest.mark.parametrize("delta", [0, -2, 3], ids=("ahead", "behind", "later"))
+def test_spm_self_write_mid_block_matches_interpreter(delta):
+    """A store in the middle of a hot loop body rewrites one flash word
+    through ``FlashMemory.write_word`` on every pass, in turn to two other
+    instructions and to its own bytes: a word of the running block not
+    yet run (``ahead``), the store's own first word (``behind``) or the
+    next block's (``later``).  Whatever the block store knows of earlier
+    bytes at that address, the current ones run next, at both bases on
+    every tier."""
+    program = assemble(
+        [("loop", 12, [[I(M.INC, rd=16), I(M.STS, k=SPM_HOOKED, rr=16),
+                        I(M.INC, rd=17), I(M.INC, rd=18)],
+                       [("rjmp", 0)], [I(M.INC, rd=19)]])],
+        [],
+    )
+    rewrites = [(delta, I(M.INC, rd=20)), (delta, I(M.INC, rd=21)),
+                (delta, None)]
+    for threshold in THRESHOLDS:
+        BLOCK_STORE.clear()
+        check_program(program, [7, 40], threshold, rewrites=rewrites)

@@ -174,7 +174,7 @@ def test_block_mode_charges_a_short_run_only_its_prefix(warm):
     profiler = AvrProfiler(mode="block").attach(cpu, cpu.engine)
     cpu.run(100)
     assert cpu.halted
-    runs = {(block.start, retired) for block, retired, _ in profiler._block_runs()}
+    runs = {(head, retired) for head, _, retired, _ in profiler._block_runs()}
     assert runs == {(0, 4), (5, 4)}
     assert profiler.total_cycles == cpu.cycles
 

@@ -1,10 +1,11 @@
 """A finished board is freed by reference counting, not by the collector.
 
-Nothing a board owns points back at its core strongly: the engine and the
-peripherals whose methods sit in the data-space hook tables hold the CPU
-weakly.  With the cyclic collector off, dropping the last reference to an
-:class:`Autopilot` or a :class:`MavrSystem` that has flown (and, for the
-system, detected a crash and reflashed) frees its core at once.
+Nothing a board owns points back at its core strongly: the engine, the
+peripherals whose methods sit in the data-space hook tables and an
+attached profiler (whose method sits on the core's trace hooks) hold the
+CPU weakly.  With the cyclic collector off, dropping the last reference
+to an :class:`Autopilot` or a :class:`MavrSystem` that has flown (and,
+for the system, detected a crash and reflashed) frees its core at once.
 """
 
 import gc
@@ -12,6 +13,7 @@ import weakref
 
 import pytest
 
+from repro.avr import PROFILE_MODES, AvrProfiler
 from repro.core import MavrSystem
 from repro.uav import Autopilot
 
@@ -42,3 +44,19 @@ def test_dropped_system_frees_its_core(testapp, collector_off):
     core = weakref.ref(system.autopilot.cpu)
     del system
     assert core() is None
+
+
+@pytest.mark.parametrize("mode", PROFILE_MODES)
+def test_profiled_autopilot_frees_its_core(testapp, collector_off, mode):
+    """A profiler that outlives its board (to report on it) keeps neither
+    the core nor a reference cycle through the core's hooks."""
+    autopilot = Autopilot(testapp)
+    cpu = autopilot.cpu
+    profiler = AvrProfiler(mode=mode).attach(cpu, cpu.engine)
+    assert profiler.effective_mode == mode
+    autopilot.run_ticks(2)
+    core = weakref.ref(cpu)
+    del autopilot, cpu
+    assert core() is None
+    assert profiler.report()["total_hits"] > 0
+    profiler.detach()  # a dead core detaches cleanly
