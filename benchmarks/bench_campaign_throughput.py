@@ -34,7 +34,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.sim import CampaignRunner, ScenarioSpec, derive_seed
+from repro.sim import CampaignRunner, ScenarioSpec, seeded_specs
 
 RESULTS_PATH = (
     Path(__file__).resolve().parent.parent / "BENCH_campaign_throughput.json"
@@ -60,16 +60,9 @@ def _usable_cores() -> int:
 
 
 def _specs(count):
-    return [
-        ScenarioSpec(
-            app="testapp",
-            seed=derive_seed(BASE_SEED, index, "board"),
-            attack="guess",
-            attack_seed=derive_seed(BASE_SEED, index, "attack"),
-            label=f"bench-{index}",
-        )
-        for index in range(count)
-    ]
+    return seeded_specs(
+        ScenarioSpec, count, BASE_SEED, "bench", app="testapp", attack="guess"
+    )
 
 
 def _setup_ms(report) -> float:

@@ -17,16 +17,12 @@ succeeds — proving the defense is secrecy, not breakage.
 Run:  python examples/bruteforce_campaign.py
 """
 
-from repro.analysis import (
-    estimate_for,
-    format_table,
-    guessing_campaign,
-    oracle_attack,
-)
+from repro.analysis import estimate_for, format_table, oracle_attack
 from repro.attack import StealthyAttack, Write3, variable_address
 from repro.core import SoftwareOnlyDefense
 from repro.firmware import build_testapp
 from repro.mavlink.messages import PARAM_SET
+from repro.sim import CampaignRunner, ScenarioSpec, seeded_specs
 from repro.uav import Autopilot, MaliciousGroundStation
 
 
@@ -59,13 +55,20 @@ def main() -> None:
           "failure the attacker observed stays useful\n")
 
     print("posture 3: MAVR")
-    result = guessing_campaign(image, attempts=4, seed=11)
+    # one freshly randomized protected board per guess: each failed
+    # attempt triggers re-randomization, so guesses are independent draws
+    specs = seeded_specs(
+        ScenarioSpec, 4, 11, "guess",
+        image_hex=image.to_preprocessed_hex(), attack="guess",
+    )
+    aggregates = CampaignRunner().run(specs).aggregates
     rows = [
-        ("guess attempts", result.attempts),
-        ("exploit effects", result.effects),
-        ("failures detected", result.detections),
-        ("layouts rotated", result.randomizations_consumed),
-        ("UAV still flying", result.still_flying),
+        ("guess attempts", aggregates["attacks"]),
+        ("exploit effects", aggregates["effects"]),
+        ("failures detected", aggregates["detections"]),
+        ("layouts rotated", aggregates["randomizations"]),
+        ("UAV still flying",
+         aggregates["still_flying"] == aggregates["scenarios"]),
     ]
     print(format_table(("metric", "value"), rows))
 

@@ -1,7 +1,7 @@
 """Security analysis: brute-force effort, entropy, gadget survival,
-full-system attack campaigns."""
+the full-system oracle attack."""
 
-from .attack_sim import CampaignResult, guessing_campaign, oracle_attack
+from .attack_sim import oracle_attack
 from .defense_matrix import (
     build_matrix,
     format_matrix_table,
@@ -19,7 +19,6 @@ from .bruteforce import (
     success_probability_at,
 )
 from .entropy import (
-    backend_entropy_bits,
     EntropyReport,
     compare_defenses,
     entropy_report,
@@ -39,8 +38,6 @@ from .report import format_table, paper_vs_measured
 __all__ = [
     "LeakReport",
     "measure_prologue_leak",
-    "CampaignResult",
-    "guessing_campaign",
     "oracle_attack",
     "build_matrix",
     "format_matrix_table",
@@ -56,7 +53,6 @@ __all__ = [
     "success_probability_at",
     "EntropyReport",
     "compare_defenses",
-    "backend_entropy_bits",
     "entropy_report",
     "image_entropy_bits",
     "padding_entropy_bits",

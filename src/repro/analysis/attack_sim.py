@@ -1,55 +1,23 @@
-"""Full-system attack simulation: guessing attackers vs the live defense.
+"""Full-system attack simulation: the oracle attacker vs a randomized image.
 
 Closes the loop between the closed-form brute-force analysis and the
-simulated hardware:
+simulated hardware.  :func:`oracle_attack` is an attacker who *knows* the
+current permutation (insider / fuse bypass): they build a fresh exploit
+against the randomized image and succeed.  This falsifies the alternative
+explanation for §VII-A ("maybe randomization just breaks the firmware"):
+capability is intact, only secrecy defeats the attacker.
 
-* :func:`oracle_attack` — an attacker who *knows* the current permutation
-  (insider / fuse bypass) builds a fresh exploit against the randomized
-  image and succeeds.  This falsifies the alternative explanation for
-  §VII-A ("maybe randomization just breaks the firmware"): capability is
-  intact, only secrecy defeats the attacker.
-* :func:`guessing_campaign` — an attacker who replays exploits built
-  against *wrong* layout guesses at a MAVR system.  Measures effect rate
-  (expected: zero at any feasible number of attempts) and the defense's
-  detection/recovery behaviour.
-
-Both are thin folds over the :mod:`repro.sim` scenario layer: every
-attempt is one :class:`~repro.sim.ScenarioSpec` played by
-:func:`~repro.sim.run_scenario`, so ``guessing_campaign(...,
-parallelism=4)`` fans the same specs over a process pool and produces
-bit-identical aggregates to the serial path.
+The guessing attacker of §VII-A — exploits built against *wrong* layout
+guesses, replayed at boards that re-randomize after every detected
+failure — is a campaign of ``attack="guess"`` specs built by
+:func:`repro.sim.seeded_specs` and run by :class:`repro.sim.CampaignRunner`
+(CLI: ``campaign --attack guess --defense <backend>``).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import List
-
 from ..binfmt.image import FirmwareImage
-from ..sim import CampaignRunner, ScenarioSpec
-
-_SEED_SPACE = 2**31
-
-
-@dataclass
-class CampaignResult:
-    """Outcome of a multi-attempt guessing campaign."""
-
-    attempts: int = 0
-    effects: int = 0  # attempts whose write actually landed
-    detections: int = 0
-    randomizations_consumed: int = 0
-    still_flying: bool = True
-    per_attempt_detected: List[bool] = field(default_factory=list)
-
-    @property
-    def effect_rate(self) -> float:
-        return self.effects / self.attempts if self.attempts else 0.0
-
-    @property
-    def detection_rate(self) -> float:
-        return self.detections / self.attempts if self.attempts else 0.0
+from ..sim import ScenarioSpec, run_scenario
 
 
 def oracle_attack(
@@ -63,8 +31,6 @@ def oracle_attack(
     leaks, i.e. MAVR's security rests entirely on layout secrecy (which
     the readout fuse enforces).
     """
-    from ..sim import run_scenario
-
     spec = ScenarioSpec(
         image_hex=image.to_preprocessed_hex(),
         protected=False,
@@ -77,65 +43,3 @@ def oracle_attack(
     )
     result = run_scenario(spec)
     return result.succeeded and result.stealthy
-
-
-def campaign_specs(
-    image: FirmwareImage,
-    attempts: int = 5,
-    seed: int = 0,
-    target_variable: str = "gyro_offset",
-    defense: str = "mavr",
-) -> List[ScenarioSpec]:
-    """The guessing campaign as data: one spec per attempt.
-
-    Every attempt faces a *freshly randomized* board — faithful to the
-    paper's model, where each failed attempt triggers re-randomization, so
-    attempts are independent draws from the layout space.  Board and
-    attacker seeds are drawn from one ``random.Random(seed)`` stream up
-    front, which is what lets serial and parallel runs execute the exact
-    same spec list.
-    """
-    rng = random.Random(seed)
-    return [
-        ScenarioSpec(
-            image_hex=image.to_preprocessed_hex(),
-            seed=rng.randrange(_SEED_SPACE),
-            defense=defense,
-            attack="guess",
-            attack_seed=rng.randrange(_SEED_SPACE),
-            target_variable=target_variable,
-            label=f"guess-{index}",
-        )
-        for index in range(attempts)
-    ]
-
-
-def guessing_campaign(
-    image: FirmwareImage,
-    attempts: int = 5,
-    seed: int = 0,
-    target_variable: str = "gyro_offset",
-    parallelism: int = 1,
-    defense: str = "mavr",
-) -> CampaignResult:
-    """Replay wrong-layout exploits at MAVR-protected systems.
-
-    Each attempt builds a V2 exploit against a *guessed* randomization of
-    the original binary (the attacker can generate candidate layouts —
-    they have the unprotected image — they just cannot know which one is
-    live).  The exploit is delivered, the defense observes, and the
-    campaign records what happened.  ``parallelism`` > 1 fans attempts
-    over a process pool; aggregates are bit-identical to the serial path.
-    """
-    specs = campaign_specs(image, attempts, seed, target_variable, defense)
-    report = CampaignRunner(jobs=parallelism).run(specs)
-    result = CampaignResult(attempts=len(specs))
-    for scenario in report.results:
-        if scenario.effect:
-            result.effects += 1
-        result.per_attempt_detected.append(scenario.detected)
-        if scenario.detected:
-            result.detections += 1
-        result.randomizations_consumed += scenario.randomizations
-        result.still_flying = result.still_flying and scenario.still_flying
-    return result

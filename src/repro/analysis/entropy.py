@@ -64,18 +64,3 @@ def compare_defenses(function_count: int) -> Dict[str, float]:
         "function_shuffle_bits": permutation_entropy_bits(function_count),
     }
 
-
-def backend_entropy_bits(image: FirmwareImage) -> Dict[str, float]:
-    """Layout entropy per defense backend, for the comparison matrix.
-
-    Every registered backend prices its own layout space: mavr counts
-    function orderings, daedalus sub-block orderings (plus gap placement
-    when the image scatters), ctomp is honestly zero — it defends by
-    recovery, not secrecy.
-    """
-    from ..core.defenses import DEFENSE_BACKENDS, create_backend
-
-    return {
-        name: create_backend(name).entropy_bits(image)
-        for name in DEFENSE_BACKENDS
-    }

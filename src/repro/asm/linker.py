@@ -90,6 +90,10 @@ class LinkOptions:
 STOCK_OPTIONS = LinkOptions(relax=True, call_prologues=True, align_functions=4)
 MAVR_OPTIONS = LinkOptions(relax=False, call_prologues=False, align_functions=2)
 
+#: the toolchain names specs and the CLI use (``--toolchain``): what the
+#: attacker downloads (``stock``) and the build MAVR can randomize
+TOOLCHAINS = {"stock": STOCK_OPTIONS, "mavr": MAVR_OPTIONS}
+
 
 # ---------------------------------------------------------------------------
 # ABI lowering: save_regs -> concrete prologue/epilogue items

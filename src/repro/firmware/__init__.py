@@ -1,15 +1,7 @@
 """Synthetic autopilot firmware: codegen, manifests, app builders."""
 
 from . import hwmap
-from .apps import (
-    build_all,
-    build_app,
-    build_arducopter,
-    build_arduplane,
-    build_ardurover,
-    build_program,
-    build_testapp,
-)
+from .apps import build_app, build_program, build_testapp
 from .codegen import FunctionFactory
 from .manifests import (
     ALL_APPS,
@@ -25,21 +17,10 @@ from .manifests import (
     manifest_by_name,
 )
 from .runtime import CORE_FUNCTION_NAMES, core_program, core_source
-from .toolchain import (
-    MAVR_TOOLCHAIN,
-    STOCK_TOOLCHAIN,
-    ToolchainConfig,
-    build,
-    code_size_comparison,
-)
 
 __all__ = [
     "hwmap",
-    "build_all",
     "build_app",
-    "build_arducopter",
-    "build_arduplane",
-    "build_ardurover",
     "build_program",
     "build_testapp",
     "FunctionFactory",
@@ -57,9 +38,4 @@ __all__ = [
     "CORE_FUNCTION_NAMES",
     "core_program",
     "core_source",
-    "MAVR_TOOLCHAIN",
-    "STOCK_TOOLCHAIN",
-    "ToolchainConfig",
-    "build",
-    "code_size_comparison",
 ]

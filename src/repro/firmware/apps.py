@@ -22,14 +22,7 @@ from ..asm.linker import LinkOptions, MAVR_OPTIONS, STOCK_OPTIONS, link
 from ..binfmt.image import FirmwareImage
 from ..errors import LinkError
 from .codegen import FunctionFactory
-from .manifests import (
-    ALL_APPS,
-    ARDUCOPTER,
-    ARDUPLANE,
-    ARDUROVER,
-    TESTAPP,
-    AppManifest,
-)
+from .manifests import TESTAPP, AppManifest
 from .runtime import CORE_FUNCTION_NAMES, core_program
 
 _CACHE: Dict[Tuple[str, str, bool], FirmwareImage] = {}
@@ -166,23 +159,6 @@ def _calibrate(program: Program, manifest: AppManifest) -> None:
         )
 
 
-def build_arduplane(options: LinkOptions = STOCK_OPTIONS, vulnerable: bool = True) -> FirmwareImage:
-    return build_app(ARDUPLANE, options, vulnerable)
-
-
-def build_arducopter(options: LinkOptions = STOCK_OPTIONS, vulnerable: bool = True) -> FirmwareImage:
-    return build_app(ARDUCOPTER, options, vulnerable)
-
-
-def build_ardurover(options: LinkOptions = STOCK_OPTIONS, vulnerable: bool = True) -> FirmwareImage:
-    return build_app(ARDUROVER, options, vulnerable)
-
-
 def build_testapp(options: LinkOptions = MAVR_OPTIONS, vulnerable: bool = True) -> FirmwareImage:
     """The small fast-linking app used throughout the test suite."""
     return build_app(TESTAPP, options, vulnerable)
-
-
-def build_all(options: LinkOptions = STOCK_OPTIONS) -> Dict[str, FirmwareImage]:
-    """All three paper applications under one toolchain."""
-    return {m.name: build_app(m, options) for m in ALL_APPS}

@@ -4,12 +4,13 @@ The paper's evaluation (§VII) is campaign-shaped — many attack attempts
 against many randomized boards.  This package turns one such experiment
 into data (:class:`ScenarioSpec`), runs it (:func:`run_scenario` /
 :class:`Board`), and fans lists of them out over a process pool
-(:class:`CampaignRunner`) with deterministic per-spec seed derivation,
-per-task timeouts, retry-once-on-worker-death, an ordered JSONL result
-sink, and cross-process telemetry snapshot merging.
+(:class:`CampaignRunner`) with per-task timeouts, retry-once-on-worker-death,
+an ordered JSONL result sink, and cross-process telemetry snapshot
+merging.  :func:`seeded_specs` is the one spec builder: spec *i* of a
+campaign gets its board and attacker seeds from :func:`derive_seed`.
 
-Everything above this layer — ``repro.analysis`` campaigns, the CLI's
-``attack``/``defend``/``campaign``/``telemetry`` commands, the
+Everything above this layer — ``repro.analysis``, the CLI's
+``attack``/``campaign``/``report``/``telemetry`` commands, the
 integration-test fixtures and the throughput benchmarks — constructs
 boards only through here.  See ``docs/SCENARIOS.md`` for the spec
 schema, the runner semantics and the determinism contract.
@@ -35,6 +36,7 @@ from .scenario import (
     derive_seed,
     load_spec_image,
     run_scenario,
+    seeded_specs,
 )
 from .swarm import SwarmSpec, run_swarm_scenario
 
@@ -60,5 +62,6 @@ __all__ = [
     "load_spec_image",
     "map_indexed",
     "run_scenario",
+    "seeded_specs",
     "spec_digest",
 ]

@@ -59,6 +59,26 @@ def derive_seed(base_seed: int, index: int, stream: str = "") -> int:
     return int.from_bytes(digest, "big") % _SEED_SPACE
 
 
+def seeded_specs(spec_type, count: int, seed: int, label: str, **fields):
+    """``count`` specs of ``spec_type``, each seeded from ``seed``.
+
+    The one place campaigns derive per-scenario seeds: spec *i* gets board
+    seed ``derive_seed(seed, i, "board")``, attacker seed
+    ``derive_seed(seed, i, "attack")`` and label ``f"{label}-{i}"``.
+    ``fields`` are shared by every spec — e.g. ``app``/``attack``, or
+    ``image_hex`` for a custom image.
+    """
+    return [
+        spec_type(
+            seed=derive_seed(seed, index, "board"),
+            attack_seed=derive_seed(seed, index, "attack"),
+            label=f"{label}-{index}",
+            **fields,
+        )
+        for index in range(count)
+    ]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One experiment, as data.
@@ -179,12 +199,12 @@ def load_spec_image(
         image = cache.get_object(key)
         if image is not None:
             return image
-    from ..asm.linker import MAVR_OPTIONS, STOCK_OPTIONS
+    from ..asm.linker import TOOLCHAINS
     from ..firmware import build_app, manifest_by_name
 
-    options = {"stock": STOCK_OPTIONS, "mavr": MAVR_OPTIONS}[spec.toolchain]
     image = build_app(
-        manifest_by_name(spec.app), options, vulnerable=spec.vulnerable
+        manifest_by_name(spec.app), TOOLCHAINS[spec.toolchain],
+        vulnerable=spec.vulnerable,
     )
     if cache is not None:
         cache.put_object(_build_key(spec), image)

@@ -10,14 +10,15 @@ Commands mirror the workflows a user of the original system would have:
 * ``attack``   — run V1/V2/V3 against a simulated board — unprotected by
   default, defended with ``--protected`` — optionally recording the
   full observability stream (``--telemetry out.jsonl``) in either mode.
-* ``defend``   — run a guessing campaign against protected boards
-  (``--jobs`` fans attempts over a process pool).
-* ``attack``/``defend``/``campaign`` take ``--defense
-  {mavr,daedalus,ctomp}`` to pick the mitigation backend protecting the
-  board (``docs/DEFENSES.md``); the default is the paper's ``mavr``.
 * ``campaign`` — fan N attack scenarios over a process pool and print the
   aggregate outcome table (or ``--json`` / ``--jsonl``); ``--progress``
-  streams live per-scenario completion lines to stderr.
+  streams live per-scenario completion lines to stderr.  The paper's
+  §VII-A guessing campaign is ``campaign --attack guess``.
+* ``attack``/``campaign`` take ``--defense {mavr,daedalus,ctomp}`` to pick
+  the mitigation backend protecting the board (``docs/DEFENSES.md``); the
+  default is the paper's ``mavr``.
+* ``report``   — the paper-vs-measured summary; its effectiveness rows and
+  phase breakdown come from one small guess campaign.
 * ``telemetry``— boot a protected board, force a crash/recovery cycle,
   and dump the metrics/span/event snapshot; ``--profile`` /
   ``--flight-recorder`` fold the profiler and forensic views in.
@@ -28,7 +29,8 @@ Commands mirror the workflows a user of the original system would have:
   --forensics`` or frozen by the master at detection time) for humans.
 
 Board construction goes exclusively through :mod:`repro.sim` — the CLI
-never wires an ``Autopilot``/``MavrSystem`` by hand.  ``info`` and
+never wires an ``Autopilot``/``MavrSystem`` by hand, and every seeded
+spec list comes from :func:`repro.sim.seeded_specs`.  ``info`` and
 ``report`` accept ``--json`` for machine-readable output; both reuse the
 telemetry snapshot serializer (:func:`repro.telemetry.jsonable`).
 """
@@ -40,9 +42,9 @@ import json
 import sys
 from typing import List, Optional
 
-from ..analysis import format_table, guessing_campaign
+from ..analysis import format_table
 from ..asm import disassemble_image
-from ..asm.linker import MAVR_OPTIONS, STOCK_OPTIONS
+from ..asm.linker import TOOLCHAINS
 from ..attack import (
     MEMORY_LAYER,
     PROTOCOL_LAYER,
@@ -53,22 +55,25 @@ from ..attack import (
 from ..avr.engine import DEFAULT_ENGINE, ENGINES
 from ..avr.profile import PROFILE_MODES
 from ..core.defenses import DEFENSE_BACKENDS
-from ..firmware import build_app, manifest_by_name
+from ..firmware import ALL_APPS, TESTAPP
 from ..sim import (
     ATTACK_VARIANTS,
     Board,
     CampaignRunner,
     ScenarioSpec,
     SwarmSpec,
-    derive_seed,
+    deterministic_phases,
+    load_spec_image,
     run_scenario,
+    seeded_specs,
 )
 
-_TOOLCHAINS = {"stock": STOCK_OPTIONS, "mavr": MAVR_OPTIONS}
+#: application choices, in manifest order
+APP_CHOICES = tuple(manifest.name for manifest in (TESTAPP,) + ALL_APPS)
 
 #: ``attack --variant`` choices: the memory-tier kinds that exploit the
 #: spec's own board directly (the guessing/oracle kinds need campaign
-#: seed derivation and live behind ``campaign``/``defend`` instead)
+#: seed derivation and live behind ``campaign`` instead)
 VARIANT_CHOICES = tuple(
     kind.name for kind in attack_kinds(MEMORY_LAYER)
     if "attack_seed" not in kind.required_fields
@@ -96,20 +101,22 @@ def _add_defense_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_app_argument(parser: argparse.ArgumentParser) -> None:
+def _add_toolchain_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "app",
-        choices=("testapp", "arduplane", "arducopter", "ardurover"),
-        help="application to operate on",
-    )
-    parser.add_argument(
-        "--toolchain", choices=tuple(_TOOLCHAINS), default="mavr",
+        "--toolchain", choices=tuple(TOOLCHAINS), default="mavr",
         help="toolchain flag set (default: mavr, the randomizable build)",
     )
 
 
+def _add_app_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "app", choices=APP_CHOICES, help="application to operate on",
+    )
+    _add_toolchain_argument(parser)
+
+
 def _load(args: argparse.Namespace):
-    return build_app(manifest_by_name(args.app), _TOOLCHAINS[args.toolchain])
+    return load_spec_image(ScenarioSpec(app=args.app, toolchain=args.toolchain))
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -270,58 +277,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0 if result.succeeded else 1
 
 
-def _campaign_result_dict(result) -> dict:
-    return {
-        "attempts": result.attempts,
-        "effects": result.effects,
-        "detections": result.detections,
-        "effect_rate": result.effect_rate,
-        "detection_rate": result.detection_rate,
-        "randomizations_consumed": result.randomizations_consumed,
-        "still_flying": result.still_flying,
-        "per_attempt_detected": result.per_attempt_detected,
-    }
-
-
-def _cmd_defend(args: argparse.Namespace) -> int:
-    image = _load(args)
-    result = guessing_campaign(
-        image, attempts=args.attempts, seed=args.seed, parallelism=args.jobs,
-        defense=args.defense,
-    )
-    if args.json:
-        print(json.dumps(_campaign_result_dict(result), indent=2))
-        return 0 if result.effects == 0 else 1
-    rows = [
-        ("attempts", str(result.attempts)),
-        ("exploit effects", str(result.effects)),
-        ("detections", str(result.detections)),
-        ("layouts consumed", str(result.randomizations_consumed)),
-        ("UAV still flying", str(result.still_flying)),
-    ]
-    print(format_table(("field", "value"), rows,
-                       title="guessing campaign vs MAVR"))
-    return 0 if result.effects == 0 else 1
-
-
-def _seeded_specs(spec_type, count: int, seed: int, label: str, **fields):
-    """``count`` specs of ``spec_type``, each seeded from ``seed``.
-
-    The one place the CLI derives per-scenario seeds: spec *i* gets board
-    seed ``derive_seed(seed, i, "board")``, attacker seed
-    ``derive_seed(seed, i, "attack")`` and label ``f"{label}-{i}"``.
-    """
-    return [
-        spec_type(
-            seed=derive_seed(seed, index, "board"),
-            attack_seed=derive_seed(seed, index, "attack"),
-            label=f"{label}-{index}",
-            **fields,
-        )
-        for index in range(count)
-    ]
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     """Fan ``-n`` attack scenarios over a process pool and aggregate.
 
@@ -337,6 +292,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     if args.count < 1:
         print("campaign: -n must be >= 1", file=sys.stderr)
+        return 2
+    if args.jobs < 1:
+        print("campaign: --jobs must be >= 1", file=sys.stderr)
         return 2
     if args.swarm < 0:
         print("campaign: --swarm must be >= 0", file=sys.stderr)
@@ -358,12 +316,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        specs = _seeded_specs(
+        specs = seeded_specs(
             SwarmSpec, args.count, args.seed, f"{args.attack}-swarm",
             boards=args.swarm, **common,
         )
     else:
-        specs = _seeded_specs(
+        specs = seeded_specs(
             ScenarioSpec, args.count, args.seed, args.attack, **common
         )
     progress = None
@@ -427,7 +385,6 @@ def _report_data(full: bool) -> dict:
     from ..analysis import entropy_report, estimate_for
     from ..hw import CostModel, PROTOTYPE_LINK
     from ..firmware import (
-        ALL_APPS,
         PAPER_FUNCTION_COUNTS,
         PAPER_MAVR_SIZES,
         PAPER_STARTUP_MS,
@@ -438,12 +395,11 @@ def _report_data(full: bool) -> dict:
     if full:
         apps = []
         for manifest in ALL_APPS:
-            stock = build_app(manifest, STOCK_OPTIONS)
-            mavr = build_app(manifest, MAVR_OPTIONS)
-            board = Board(
-                ScenarioSpec(app=manifest.name, toolchain="mavr", seed=1),
-                image=mavr,
+            stock = load_spec_image(
+                ScenarioSpec(app=manifest.name, toolchain="stock")
             )
+            board = Board(ScenarioSpec(app=manifest.name, seed=1))
+            mavr = board.image
             overhead = board.boot()
             apps.append({
                 "app": manifest.name,
@@ -469,27 +425,25 @@ def _report_data(full: bool) -> dict:
         "hardware_cost": cost,
     }
 
-    image = build_app(manifest_by_name("testapp"), MAVR_OPTIONS)
     v2 = run_scenario(ScenarioSpec(
         app="testapp", protected=False, attack="v2", observe_ticks=30,
     ))
-    campaign = guessing_campaign(image, attempts=2, seed=1)
+    # one small §VII-A guess campaign: its outcome and where it spends its
+    # simulated time, phase by phase (deterministic fields only — see
+    # docs/SCENARIOS.md)
+    campaign = CampaignRunner(jobs=1).run(
+        seeded_specs(ScenarioSpec, 2, 1, "guess", app="testapp", attack="guess")
+    )
+    aggregates = campaign.aggregates
     data["effectiveness"] = {
         "v2_vs_unprotected_stealthy": v2.stealthy and v2.succeeded,
-        "campaign_attempts": campaign.attempts,
-        "campaign_effects": campaign.effects,
-        "campaign_detections": campaign.detections,
-        "uav_survived_campaign": campaign.still_flying,
+        "campaign_attempts": aggregates["attacks"],
+        "campaign_effects": aggregates["effects"],
+        "campaign_detections": aggregates["detections"],
+        "uav_survived_campaign":
+            aggregates["still_flying"] == aggregates["scenarios"],
     }
-
-    # where a small reference campaign spends its simulated time, phase
-    # by phase (deterministic fields only — see docs/SCENARIOS.md)
-    from ..sim import deterministic_phases
-
-    phase_report = CampaignRunner(jobs=1).run(
-        _seeded_specs(ScenarioSpec, 2, 1, "v2", app="testapp", attack="v2")
-    )
-    data["campaign_phases"] = deterministic_phases(phase_report.phases)
+    data["campaign_phases"] = deterministic_phases(campaign.phases)
     return data
 
 
@@ -823,30 +777,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_argument(attack)
     attack.set_defaults(func=_cmd_attack)
 
-    defend = subparsers.add_parser("defend", help="guessing campaign vs MAVR")
-    _add_app_argument(defend)
-    defend.add_argument("--attempts", type=int, default=3)
-    defend.add_argument("--seed", type=int, default=0)
-    defend.add_argument("--jobs", type=int, default=1,
-                        help="process-pool workers (1 = run inline)")
-    defend.add_argument("--json", action="store_true",
-                        help="machine-readable JSON output")
-    _add_defense_argument(defend)
-    defend.set_defaults(func=_cmd_defend)
-
     campaign = subparsers.add_parser(
         "campaign",
         help="fan N attack scenarios over a process pool and aggregate",
     )
     campaign.add_argument(
-        "--app",
-        choices=("testapp", "arduplane", "arducopter", "ardurover"),
-        default="testapp", help="application under attack",
+        "--app", choices=APP_CHOICES, default="testapp",
+        help="application under attack",
     )
-    campaign.add_argument(
-        "--toolchain", choices=tuple(_TOOLCHAINS), default="mavr",
-        help="toolchain flag set (default: mavr, the randomizable build)",
-    )
+    _add_toolchain_argument(campaign)
     campaign.add_argument(
         "--attack", choices=CAMPAIGN_ATTACK_CHOICES,
         default="guess", help="attack kind every scenario runs",
@@ -928,14 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="profile hot functions on a simulated board"
     )
     profile.add_argument(
-        "--app",
-        choices=("testapp", "arduplane", "arducopter", "ardurover"),
-        default="testapp", help="application to profile",
+        "--app", choices=APP_CHOICES, default="testapp",
+        help="application to profile",
     )
-    profile.add_argument(
-        "--toolchain", choices=tuple(_TOOLCHAINS), default="mavr",
-        help="toolchain flag set (default: mavr, the randomizable build)",
-    )
+    _add_toolchain_argument(profile)
     profile.add_argument(
         "--mode", choices=PROFILE_MODES, default="exact",
         help="exact per-instruction attribution, block-entry attribution "

@@ -15,7 +15,6 @@ from repro.firmware import (
     manifest_by_name,
 )
 from repro.firmware.hwmap import RX_BUFFER_SIZE, SRAM_VARIABLES, TELEMETRY_MARKER
-from repro.firmware.toolchain import MAVR_TOOLCHAIN, STOCK_TOOLCHAIN
 
 
 def test_testapp_function_count(testapp):
@@ -128,11 +127,6 @@ def test_sram_variables_allocated(testapp):
     for name in SRAM_VARIABLES:
         symbol = testapp.symbols.get(name)
         assert symbol.address >= 0x800000
-
-
-def test_toolchain_randomizable_flags():
-    assert MAVR_TOOLCHAIN.randomizable
-    assert not STOCK_TOOLCHAIN.randomizable
 
 
 def test_stock_build_has_more_functions(testapp, testapp_stock):

@@ -11,12 +11,18 @@ import random
 
 import pytest
 
-from repro.analysis import guessing_campaign, oracle_attack
+from repro.analysis import oracle_attack
 from repro.asm import MAVR_OPTIONS, link, parse_program
 from repro.attack import StealthyAttack, Write3, variable_address
 from repro.core import SoftwareOnlyDefense, randomize_image
 from repro.mavlink.messages import PARAM_SET
-from repro.sim import Board, ScenarioSpec, run_scenario
+from repro.sim import (
+    Board,
+    CampaignRunner,
+    ScenarioSpec,
+    run_scenario,
+    seeded_specs,
+)
 from repro.uav import Autopilot, AutopilotStatus, GroundStation, MaliciousGroundStation
 
 
@@ -107,13 +113,19 @@ def test_oracle_attack_falsification(testapp):
     assert oracle_attack(testapp, seed=17)
 
 
-def test_guessing_campaign_zero_effect(testapp):
-    result = guessing_campaign(testapp, attempts=3, seed=41)
-    assert result.attempts == 3
-    assert result.effects == 0
-    assert result.detections == result.attempts  # every failure noticed
-    assert result.still_flying
-    assert result.randomizations_consumed >= result.detections + 1
+def test_guess_campaign_zero_effect():
+    specs = seeded_specs(
+        ScenarioSpec, 3, 41, "guess", app="testapp", attack="guess"
+    )
+    aggregates = CampaignRunner().run(specs).aggregates
+    assert aggregates["attacks"] == 3
+    assert aggregates["effects"] == 0
+    assert aggregates["detections"] == 3  # every failure noticed
+    assert aggregates["still_flying"] == 3
+    # each board boots on a fresh layout, and re-randomizes per detection
+    assert aggregates["randomizations"] >= (
+        aggregates["detections"] + aggregates["scenarios"]
+    )
 
 
 def test_software_only_defense_weaknesses(testapp):

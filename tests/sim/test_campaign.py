@@ -10,18 +10,19 @@ import signal
 
 import pytest
 
-from repro.analysis.attack_sim import campaign_specs, guessing_campaign
 from repro.sim import (
     PHASE_ORDER,
     CampaignRunner,
     PoolTaskError,
     ScenarioSpec,
+    SwarmSpec,
     aggregate_phases,
     aggregate_results,
     derive_seed,
     deterministic_phases,
     map_indexed,
     run_scenario,
+    seeded_specs,
 )
 
 
@@ -65,20 +66,25 @@ def test_repeated_parallel_runs_identical(tmp_path):
     assert first_path.read_bytes() == second_path.read_bytes()
 
 
-def test_guessing_campaign_parallelism_bit_identical(testapp):
-    serial = guessing_campaign(testapp, attempts=3, seed=41)
-    parallel = guessing_campaign(testapp, attempts=3, seed=41, parallelism=4)
-    assert (serial.attempts, serial.effects, serial.detections,
-            serial.randomizations_consumed, serial.still_flying,
-            serial.per_attempt_detected) == (
-        parallel.attempts, parallel.effects, parallel.detections,
-        parallel.randomizations_consumed, parallel.still_flying,
-        parallel.per_attempt_detected)
-
-
-def test_campaign_specs_are_stable(testapp):
-    assert campaign_specs(testapp, 3, seed=8) == campaign_specs(testapp, 3, seed=8)
-    assert campaign_specs(testapp, 3, seed=8) != campaign_specs(testapp, 3, seed=9)
+@pytest.mark.parametrize("spec_type,fields", (
+    (ScenarioSpec, {"attack": "guess"}),
+    (SwarmSpec, {"attack": "flood", "boards": 2}),
+), ids=("ScenarioSpec", "SwarmSpec"))
+def test_seeded_spec_builder(spec_type, fields):
+    specs = seeded_specs(spec_type, 3, 8, "run", app="testapp", **fields)
+    assert [type(spec) for spec in specs] == [spec_type] * 3
+    assert [spec.seed for spec in specs] == [
+        derive_seed(8, index, "board") for index in range(3)
+    ]
+    assert [spec.attack_seed for spec in specs] == [
+        derive_seed(8, index, "attack") for index in range(3)
+    ]
+    assert [spec.label for spec in specs] == ["run-0", "run-1", "run-2"]
+    assert all(spec.attack == fields["attack"] for spec in specs)
+    # the same arguments always build the same list; another seed does not
+    assert seeded_specs(spec_type, 3, 8, "run", app="testapp", **fields) == specs
+    other = seeded_specs(spec_type, 3, 9, "run", app="testapp", **fields)
+    assert all(a != b for a, b in zip(other, specs))
 
 
 # -- aggregates and sinks ----------------------------------------------------

@@ -61,12 +61,6 @@ def test_attack_v1(capsys):
     assert "crashed" in out
 
 
-def test_defend(capsys):
-    code, out = run(capsys, "defend", "testapp", "--attempts", "1", "--seed", "3")
-    assert code == 0
-    assert "UAV still flying" in out
-
-
 def test_attack_protected_with_defense_backend(capsys):
     # ctomp has no layout secrecy: the V2 payload built against the
     # public layout lands (the tradeoff docs/DEFENSES.md documents)
@@ -90,19 +84,18 @@ def test_attack_protected_mavr_stops_v2(capsys):
     assert "mavr-protected" in out
 
 
-def test_defend_with_defense_backend(capsys):
+def test_campaign_with_defense_backend(capsys):
     code, out = run(
-        capsys, "defend", "testapp", "--attempts", "1", "--seed", "3",
+        capsys, "campaign", "--app", "testapp", "-n", "1", "--seed", "3",
         "--defense", "daedalus",
     )
     assert code == 0
-    assert "UAV still flying" in out
+    assert "daedalus-protected" in out
 
 
 def test_parser_defaults_to_mavr_defense():
     for argv in (
         ["attack", "testapp"],
-        ["defend", "testapp"],
         ["campaign", "--app", "testapp"],
     ):
         assert build_parser().parse_args(argv).defense == "mavr"
@@ -165,33 +158,15 @@ def test_attack_with_telemetry(capsys, tmp_path):
                for s in snapshot["spans"])  # at least one nested mavr.* span
 
 
-def test_defend_json(capsys):
+def test_campaign_jobs_matches_serial(capsys):
     import json
 
-    code, out = run(capsys, "defend", "testapp", "--attempts", "1",
-                    "--seed", "3", "--json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["attempts"] == 1
-    assert data["effects"] == 0
-    assert data["detections"] == 1
-    assert data["still_flying"] is True
-    assert data["per_attempt_detected"] == [True]
-    assert data["detection_rate"] == 1.0
-
-
-def test_defend_jobs_matches_serial(capsys):
-    import json
-
-    code_serial, out_serial = run(
-        capsys, "defend", "testapp", "--attempts", "2", "--seed", "5", "--json"
-    )
-    code_jobs, out_jobs = run(
-        capsys, "defend", "testapp", "--attempts", "2", "--seed", "5",
-        "--jobs", "2", "--json",
-    )
+    argv = ("campaign", "--app", "testapp", "-n", "2", "--seed", "5", "--json")
+    code_serial, out_serial = run(capsys, *argv, "--jobs", "1")
+    code_jobs, out_jobs = run(capsys, *argv, "--jobs", "2")
     assert code_serial == code_jobs == 0
-    assert json.loads(out_serial) == json.loads(out_jobs)
+    assert (json.loads(out_serial)["aggregates"]
+            == json.loads(out_jobs)["aggregates"])
 
 
 def test_campaign_json_schema(capsys, tmp_path):
@@ -276,6 +251,8 @@ def test_campaign_resume_requires_checkpoint_dir(capsys):
     ["--attack", "flood", "--swarm", "-1"],
     ["--timeout", "0"],
     ["--timeout", "-1"],
+    ["--jobs", "0"],
+    ["--jobs", "-1"],
 ))
 def test_campaign_rejects_bad_arguments(capsys, argv):
     code = main(["campaign", *argv])
