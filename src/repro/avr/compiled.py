@@ -20,7 +20,7 @@ and runs each block head in one of two tiers:
   earlier generation, layout, board or core bind on the head's first
   entry.
 
-Two process-wide, bounded caches make the tiers cheap across flash
+Three process-wide, bounded caches make the tiers cheap across flash
 generations, boards and scenarios:
 
 * **Block store** (:data:`BLOCK_STORE`), one :class:`BlockRecord` per
@@ -36,9 +36,15 @@ generations, boards and scenarios:
   absolute target would miss on nearly every generation; this key keeps
   hitting, and one record serves every layout, every generation and
   every core in the process.  Each generation finds a head's record once,
-  on the head's first entry, by walking the head's hot-block extent
-  through that generation's decode cache: binding always reads the
-  current flash.
+  on the head's first entry, from the key its bytes in the current flash
+  give: binding always reads the current flash.
+* **Block index** (:data:`BLOCK_INDEX`, a :class:`BlockIndex`): the store
+  keys of blocks whose extent ended by the hot-tier rule or at
+  ``FUSE_CAP``, by their first word.  Finding a head's key is one byte
+  probe of the flash against the few keys that share its first word; a
+  head no key matches walks its hot-block extent through the
+  generation's decode cache, as a block cut by the image limit, an
+  undecodable word or the end of flash always does.
 * **Decode memo** (:data:`DECODE_MEMO`), keyed by the instruction's
   bytes as one int, ``word | next_word << 16`` (``next_word`` is 0 for a
   one-word instruction): re-decoding moved code after a reflash is a
@@ -1107,6 +1113,85 @@ class SharedCache:
         return len(self._items)
 
 
+def _index_slot(raw: bytearray, at: int) -> int:
+    """The :class:`BlockIndex` slot of the head at byte ``at``: its first
+    word, masked to its opcode (``0x940E``/``0x940C``) for a
+    ``call``/``jmp``, whose first word holds target bits."""
+    word = raw[at] | raw[at + 1] << 8
+    return word & 0xFE0E if word & 0xFE0C == 0x940C else word
+
+
+class BlockIndex:
+    """Store keys of naturally ended hot blocks, found by a byte probe.
+
+    A head's hot-block extent ends *naturally* when an instruction with
+    the hot-tier flag ends it or it reaches :data:`FUSE_CAP`; such an
+    extent is a pure function of its bytes, wherever they lie.  So a head
+    whose flash bytes start with a natural block's bytes, with room for
+    them below the image limit and the end of flash, has that block's
+    extent and store key, and finding it decodes nothing.  An extent cut
+    by the image limit, by an undecodable later word or by the end of
+    flash depends on where it lies, and is never indexed.
+
+    Entries are grouped by the block's first word; a ``call``/``jmp``
+    first word is masked to its opcode (``& 0xFE0E``), so every target
+    shares one slot.  For a ``call``/``jmp`` terminator the probe is the
+    bytes before it, and the word after them must mask to the
+    terminator's opcode.  At most one entry matches a head: natural
+    extents are prefix-free, since if one natural block's bytes were a
+    proper prefix of another's, the longer block's walk would have
+    stopped where the shorter one ends.
+
+    Bounded by its number of keys; an index that fills up starts over.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self.limit = limit
+        # first word -> [(probe, length, masked terminator word or 0, key)]
+        self._slots: Dict[int, List[tuple]] = {}
+        self._keys = 0
+
+    def find(self, raw: bytearray, at: int, end: int):
+        """The store key of the natural block whose bytes start at byte
+        ``at`` of ``raw`` and end at or before byte ``end``, or ``None``."""
+        if at + 2 > end:
+            return None
+        for probe, length, tail, key in self._slots.get(_index_slot(raw, at), ()):
+            if at + length <= end and raw.startswith(probe, at):
+                if tail:
+                    at_tail = at + length - 4
+                    if (raw[at_tail] | raw[at_tail + 1] << 8) & 0xFE0E != tail:
+                        continue
+                return key
+        return None
+
+    def add(self, raw: bytearray, at: int, key) -> None:
+        """Index ``key``, the store key of the natural block at byte ``at``
+        of ``raw``."""
+        if type(key) is tuple:  # (bytes before the call/jmp, its mnemonic)
+            probe = key[0]
+            length = len(probe) + 4
+            at_tail = at + len(probe)
+            tail = (raw[at_tail] | raw[at_tail + 1] << 8) & 0xFE0E
+        else:
+            probe = key
+            length = len(key)
+            tail = 0
+        slot = _index_slot(raw, at)
+        if any(entry[3] == key for entry in self._slots.get(slot, ())):
+            return  # indexed, but out of reach at this head
+        if self._keys >= self.limit:
+            self.clear()
+        self._slots.setdefault(slot, []).append((probe, length, tail, key))
+        self._keys += 1
+
+    def clear(self) -> None:
+        """Forget everything (tests that count walks start cold)."""
+        self._slots.clear()
+        self._keys = 0
+
+    def __len__(self) -> int:
+        return self._keys
 
 
 class BlockRecord:
@@ -1128,6 +1213,10 @@ class BlockRecord:
 # layout whose bytes hold a moved address (mostly ``ldi`` immediates);
 # the LRU keeps the shared ones while layouts that never recur age out.
 BLOCK_STORE = SharedCache(1024)
+# Store keys of natural blocks by their first word, as many keys as the
+# store holds records; a key the store has evicted gets a fresh record,
+# as it would after a walk.
+BLOCK_INDEX = BlockIndex(1024)
 # Decoded entries by ``word | next_word << 16``.  A whole ArduPlane image
 # has ~4,200 distinct ones, so the bound holds any image's working set; a
 # hit does no bookkeeping, and a memo that fills up starts over.
@@ -1296,28 +1385,43 @@ class CompiledEngine:
         """The block-store record of the hot block at head ``pc``, found on
         the head's first entry in this generation and image limit.
 
-        The head's hot-block extent is walked through the decode cache
-        and read from the current flash; the key is the block's bytes,
-        or, for a ``call``/``jmp`` terminator, the bytes before it plus
-        its mnemonic (the absolute target is the body's ``tgt``
-        argument, so a moved callee shares the record).  Callers have run
-        :meth:`_sync_limit`.
+        The key is the block's bytes, or, for a ``call``/``jmp``
+        terminator, the bytes before it plus its mnemonic (the absolute
+        target is the body's ``tgt`` argument, so a moved callee shares
+        the record), read from the current flash.  :data:`BLOCK_INDEX`
+        finds it by a byte probe; otherwise the head's hot-block extent
+        is walked (:meth:`_walk`).  Callers have run :meth:`_sync_limit`.
         """
-        entries = extent(pc, self._fetch, self._limit)
-        words = 0
-        for entry in entries:
-            words += entry[2]
-        last = entries[-1][1]
-        if last.mnemonic in TARGET_ARGUMENT:
-            key = (self._flash.dump(pc * 2, (words - 2) * 2), last.mnemonic)
-        else:
-            key = self._flash.dump(pc * 2, words * 2)
+        flash = self._flash
+        limit = self._limit
+        end = flash.size if limit is None or limit > flash.size else limit
+        key = BLOCK_INDEX.find(flash._bytes, pc * 2, end)
+        if key is None:
+            key = self._walk(pc)
         record = BLOCK_STORE.get(key)
         if record is None:
             record = BlockRecord()
             BLOCK_STORE.put(key, record)
         self._records[pc] = record
         return record
+
+    def _walk(self, pc: int):
+        """The store key of the hot block at head ``pc``, from its extent
+        walked through the decode cache; a naturally ended extent is
+        indexed.  The first word's decode errors propagate."""
+        entries = extent(pc, self._fetch, self._limit)
+        words = 0
+        for entry in entries:
+            words += entry[2]
+        last = entries[-1]
+        mnemonic = last[1].mnemonic
+        if mnemonic in TARGET_ARGUMENT:
+            key = (self._flash.dump(pc * 2, (words - 2) * 2), mnemonic)
+        else:
+            key = self._flash.dump(pc * 2, words * 2)
+        if last[5] or len(entries) == FUSE_CAP:
+            BLOCK_INDEX.add(self._flash._bytes, pc * 2, key)
+        return key
 
     def _block(self, pc: int, record: BlockRecord) -> Superblock:
         """The record's fused block, fused at head ``pc`` if it has none

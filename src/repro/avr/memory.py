@@ -106,7 +106,12 @@ class FlashMemory:
         return self._bytes[byte_addr] | (self._bytes[byte_addr + 1] << 8)
 
     def write_page(self, address: int, data: bytes) -> None:
-        """Bootloader-style page write (no erase modelling beyond overwrite)."""
+        """Bootloader-style page write (no erase modelling beyond overwrite).
+
+        ``data`` may be any run of whole pages (the last possibly partial,
+        at the end of an image): the ISP writes each run of changed pages,
+        or a whole image, in one call, bumping :attr:`generation` once.
+        """
         self.load(data, address)
 
     def write_word(self, word_address: int, value: int) -> None:

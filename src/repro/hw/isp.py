@@ -20,6 +20,14 @@ written — page-granular erase included — and :class:`ProgrammingStats`
 prices the pass in pages and wire bytes so the policy layer can reason
 about wear per page rather than per full image.
 
+Pricing is per page, but the simulated chip is written one slice per
+run of pages: a full pass is one chip erase and one write of the whole
+image, and a differential pass erases and writes each run of
+consecutive changed pages at once.  Telemetry still sees pages: with
+telemetry on, a differential pass emits one ``flash.page_reflashed``
+event per changed page, in page order, carrying the flash generation
+after that page's run was written.
+
 The invariant that makes skipping safe: *a skipped page is byte-identical
 by comparison to the page already in flash*, so the post-pass flash
 contents equal a full reprogram byte for byte.  Any foreign write to the
@@ -197,8 +205,7 @@ class IspProgrammer:
 
     def _program_full(self, flash, image: bytes):
         flash.erase()
-        for offset in range(0, len(image), FLASH_PAGE_SIZE):
-            flash.write_page(offset, image[offset : offset + FLASH_PAGE_SIZE])
+        flash.write_page(0, image)
         pages = (len(image) + FLASH_PAGE_SIZE - 1) // FLASH_PAGE_SIZE
         elapsed = BOOTLOADER_ENTRY_MS + self.link.programming_ms(len(image))
         self.telemetry.emit(
@@ -210,16 +217,19 @@ class IspProgrammer:
     def _program_differential(self, flash, image: bytes, changed: List[int]):
         telemetry = self.telemetry
         emit = telemetry.emit if telemetry.enabled else None
-        for index in changed:
-            start = index * FLASH_PAGE_SIZE
-            page = image[start : start + FLASH_PAGE_SIZE]
-            flash.erase_page(start, len(page))
-            flash.write_page(start, page)
+        for first, stop in _runs(changed):
+            start = first * FLASH_PAGE_SIZE
+            end = min(stop * FLASH_PAGE_SIZE, len(image))
+            flash.erase_page(start, end - start)
+            flash.write_page(start, image[start:end])
             if emit is not None:
-                emit(
-                    "flash.page_reflashed", page=index, offset=start,
-                    size=len(page), generation=flash.generation,
-                )
+                for index in range(first, stop):
+                    offset = index * FLASH_PAGE_SIZE
+                    emit(
+                        "flash.page_reflashed", page=index, offset=offset,
+                        size=min(FLASH_PAGE_SIZE, end - offset),
+                        generation=flash.generation,
+                    )
         payload = _payload(changed, len(image))
         total_pages = (len(image) + FLASH_PAGE_SIZE - 1) // FLASH_PAGE_SIZE
         wire = self.link.differential_wire_bytes(payload, len(changed))
@@ -239,6 +249,18 @@ class IspProgrammer:
     @property
     def remaining_cycles(self) -> int:
         return max(self.endurance - self.stats.programming_cycles, 0)
+
+
+def _runs(changed: List[int]) -> List[List[int]]:
+    """``[first, stop)`` page-index bounds of each run of consecutive
+    pages in ``changed`` (ascending)."""
+    runs: List[List[int]] = []
+    for index in changed:
+        if runs and runs[-1][1] == index:
+            runs[-1][1] = index + 1
+        else:
+            runs.append([index, index + 1])
+    return runs
 
 
 def _payload(changed: List[int], image_len: int) -> int:

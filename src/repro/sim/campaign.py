@@ -238,6 +238,8 @@ class CampaignRunner:
         checkpoint_dir=None,
         resume: bool = False,
     ) -> None:
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.timeout_s = timeout_s
         if timeout_s is not None and timeout_s <= 0:

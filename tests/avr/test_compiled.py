@@ -24,8 +24,9 @@ from repro.avr import (
     encode,
     encode_stream,
 )
-from repro.avr.blocks import WRITE_CAPABLE
+from repro.avr.blocks import FUSE_CAP, WRITE_CAPABLE
 from repro.avr.compiled import (
+    BLOCK_INDEX,
     BLOCK_STORE,
     DECODE_MEMO,
     SOURCE_TEMPLATES,
@@ -34,7 +35,7 @@ from repro.avr.compiled import (
 )
 from repro.avr.engine import ENGINES, HANDLERS
 from repro.avr.memory import DATA_SPACE_SIZE
-from repro.errors import CpuFault, IllegalExecutionError
+from repro.errors import AvrError, CpuFault, IllegalExecutionError
 
 I = Instruction
 M = Mnemonic
@@ -48,6 +49,7 @@ def cold_shared_caches():
     """Compile counts below assume no body was compiled earlier in the
     process, so every test starts with empty process-wide caches."""
     BLOCK_STORE.clear()
+    BLOCK_INDEX.clear()
     DECODE_MEMO.clear()
 
 
@@ -580,6 +582,147 @@ def test_decode_memo_turns_redecoding_moved_code_into_lookups():
     cpu.run(7)
     assert cpu.engine.decode_misses > misses  # new generation, cache refilled
     assert len(DECODE_MEMO) == decoded + 1  # ...but only the nop was decoded
+
+
+# -- finding records by a byte probe -----------------------------------------
+
+
+def _run_then_move(raw, code_limit=None, extra=()):
+    """Run the program bytes ``raw`` from word 0 until it halts or fails,
+    then load them one word up (MAVR-style), in a new flash generation,
+    with the image limit moved up with them.  ``extra`` is ``(word,
+    program)`` code outside the move.  Returns the core and the records
+    its first generation found, by head."""
+    cpu = AvrCpu(engine="compiled")
+    cpu.flash.load(raw)
+    for word, program in extra:
+        cpu.flash.load(encode_stream(program), word * 2)
+    cpu.code_limit = code_limit
+    cpu.reset()
+    try:
+        cpu.run(200)
+    except AvrError:
+        pass
+    records = dict(cpu.engine._records)
+    cpu.flash.load(encode_stream([I(M.NOP)]) + raw)
+    if code_limit is not None:
+        cpu.code_limit = code_limit + 2
+    return cpu, records
+
+
+def _probe(cpu, head):
+    """The record ``_record`` finds at ``head`` in the current generation
+    and image limit, and how many extent walks it took."""
+    engine = cpu.engine
+    engine._sync_cache()
+    engine._sync_limit()
+    walks = []
+    walk = engine._walk
+    engine._walk = lambda pc: walks.append(pc) or walk(pc)
+    try:
+        record = engine._record(head)
+    finally:
+        del engine._walk
+    return record, len(walks)
+
+
+_CALL_JMP_FAR = 0x10006  # a target whose high bits lie in the first word
+
+
+@pytest.mark.parametrize("program,extra,indexed", [
+    # rcall; break; ret — one-word terminators
+    ([I(M.RCALL, k=1), I(M.BREAK), I(M.RET)], (), 3),
+    # call-only and jmp-only heads, each to a near and a far target: every
+    # target shares the (empty prefix, mnemonic) key and its index slot;
+    # then `inc` before a `call` and before a `jmp`: one slot, two keys
+    ([I(M.CALL, k=12), I(M.CALL, k=_CALL_JMP_FAR),        # words 0-3
+      I(M.INC, rd=16), I(M.CALL, k=12),                   # words 4-6
+      I(M.INC, rd=16), I(M.JMP, k=10),                    # words 7-9
+      I(M.JMP, k=13), I(M.RET),                           # words 10-12
+      I(M.JMP, k=_CALL_JMP_FAR + 2)],                     # words 13-14
+     ((_CALL_JMP_FAR, [I(M.RET), I(M.NOP), I(M.BREAK)]),), 6),
+    # a block that ends at FUSE_CAP, then one that ends at its break
+    ([I(M.INC, rd=16)] * (FUSE_CAP + 3) + [I(M.BREAK)], (), 2),
+], ids=("ret", "call-jmp", "fuse-cap"))
+def test_moved_natural_blocks_find_their_records_without_a_walk(
+        program, extra, indexed):
+    """After the move, every head's record comes from a byte probe — no
+    extent walk, no decode — and is the record the first generation used
+    and a fresh walk finds."""
+    cpu, records = _run_then_move(encode_stream(program), extra=extra)
+    assert cpu.halted
+    moved = [head for head in records if head < len(encode_stream(program)) // 2]
+    assert len(moved) >= 2
+    assert len(BLOCK_INDEX) == indexed
+    for head in moved:
+        misses = cpu.engine.decode_misses
+        record, walks = _probe(cpu, head + 1)
+        assert walks == 0, head
+        assert cpu.engine.decode_misses == misses
+        assert record is records[head]
+        assert BLOCK_STORE.get(cpu.engine._walk(head + 1)) is record
+    assert len(BLOCK_INDEX) == indexed
+
+
+@pytest.mark.parametrize("raw,code_limit", [
+    # the image limit cuts the block after two `inc`s
+    (encode_stream([I(M.INC, rd=16), I(M.INC, rd=17), I(M.INC, rd=18),
+                    I(M.BREAK)]), 4),
+    # an undecodable third word stops the block after two `inc`s
+    (encode_stream([I(M.INC, rd=16), I(M.INC, rd=17)]) + b"\xff\xff", None),
+], ids=("code-limit", "undecodable"))
+def test_cut_blocks_are_never_indexed(raw, code_limit):
+    """A block cut by the image limit or by an undecodable later word
+    depends on where it lies: it walks on every generation, and its key
+    never enters the index."""
+    cpu, records = _run_then_move(raw, code_limit=code_limit)
+    assert list(records) == [0]
+    assert len(BLOCK_INDEX) == 0
+    record, walks = _probe(cpu, 1)
+    assert walks == 1
+    assert record is records[0]
+    assert len(BLOCK_INDEX) == 0
+
+
+@pytest.mark.parametrize("insn", [I(M.CALL, k=2), I(M.LDS, rd=17, k=0x200)],
+                         ids=("call", "lds"))
+def test_two_word_opcode_in_the_last_flash_word_fails_with_the_index_warm(insn):
+    """The index holds a block whose first word is the one in the last
+    flash word, but it does not fit there: the head walks and fails like
+    the interpreter."""
+    warm = _cpu([insn, I(M.BREAK)])
+    warm.run(10)
+    assert warm.halted
+    flash = warm.flash
+    assert BLOCK_INDEX.find(flash._bytes, 0, flash.size) is not None
+    errors = []
+    for engine in ("interpreter", "compiled"):
+        cpu = AvrCpu(engine=engine)
+        last = cpu.flash.size // 2 - 1
+        cpu.flash.load(encode_stream([insn])[:2], last * 2)
+        cpu.reset()
+        cpu.pc = last
+        with pytest.raises(IllegalExecutionError) as excinfo:
+            cpu.run(10)
+        errors.append((str(excinfo.value), _state(cpu)))
+    assert errors[0] == errors[1]
+    assert BLOCK_INDEX.find(cpu.flash._bytes, last * 2, cpu.flash.size) is None
+
+
+def test_block_index_stays_within_its_limit(monkeypatch):
+    """An index that fills up starts over, so reflashing ever new bytes
+    never grows it past its limit; every key it keeps still hits."""
+    monkeypatch.setattr(BLOCK_INDEX, "limit", 3)
+    cpu = _cpu([I(M.BREAK)])
+    for reg in range(16, 26):
+        cpu.load_program(encode_stream([I(M.INC, rd=reg), I(M.BREAK)]))
+        cpu.reset()
+        cpu.run(10)
+        assert cpu.data.read_reg(reg) == 1
+        assert 1 <= len(BLOCK_INDEX) <= 3
+    record, walks = _probe(cpu, 0)
+    assert walks == 0
+    assert record is cpu.engine._records[0]
 
 
 def test_shared_cache_is_a_bounded_lru():

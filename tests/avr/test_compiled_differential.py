@@ -29,7 +29,9 @@ SREG, SP, PC, cycles, retired count, halt flag, interrupt state, the
 whole data space, the hook log (with the counters each hook saw) and
 any fault.  The compiled side runs at threshold 1 (every head hot at
 once), at the default threshold and with the threshold never reached
-(all cold).
+(all cold).  Each drawn program runs twice: with an empty block index
+(heads walk their extents), then with the index warm from the first pass
+(heads find their records by a byte probe).
 """
 
 import itertools
@@ -46,7 +48,7 @@ from repro.avr import (
     encode,
     encode_stream,
 )
-from repro.avr.compiled import BLOCK_STORE
+from repro.avr.compiled import BLOCK_INDEX, BLOCK_STORE
 from repro.avr.memory import DATA_SPACE_SIZE, RAMEND
 from repro.errors import AvrError
 
@@ -529,8 +531,13 @@ rewrite_lists = st.lists(
        reflashes=reflash_lists, rewrites=rewrite_lists)
 def test_shared_bodies_match_interpreter(threshold, program, chunks, toggles,
                                          reflashes, rewrites):
-    check_program(program, chunks, threshold, toggles=toggles,
-                  reflashes=reflashes, rewrites=rewrites)
+    """Each program runs twice: first with an empty block index, so heads
+    walk their extents, then with the index holding this program's
+    natural blocks, so heads find their records by a byte probe."""
+    BLOCK_INDEX.clear()
+    for _ in range(2):
+        check_program(program, chunks, threshold, toggles=toggles,
+                      reflashes=reflashes, rewrites=rewrites)
 
 
 def _counted_access_program(access):

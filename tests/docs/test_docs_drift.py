@@ -184,3 +184,38 @@ def test_matrix_json_covers_every_backend_and_metric():
         for backend, metrics in app["backends"].items():
             missing = required - set(metrics)
             assert not missing, f"{app_name}/{backend} missing {missing}"
+
+
+def _design_inventory():
+    """``{package: [modules]}`` from DESIGN.md's "System inventory →
+    modules" table: each row's package cell is ``repro/<pkg>/`` and every
+    backticked word in its contents cell names a module."""
+    doc = (REPO / "DESIGN.md").read_text()
+    section = doc.split("## System inventory → modules", 1)[1].split("\n## ", 1)[0]
+    inventory = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) != 3:
+            continue
+        package = re.fullmatch(r"`repro/(\w+)/`", cells[1])
+        if package:
+            inventory[package.group(1)] = re.findall(r"`([^`]+)`", cells[2])
+    return inventory
+
+
+def test_design_inventory_names_every_module_and_only_modules():
+    inventory = _design_inventory()
+    packages = sorted(
+        path.parent.name for path in (REPO / "src" / "repro").glob("*/__init__.py")
+    )
+    assert sorted(inventory) == packages
+    for package, named in inventory.items():
+        source = REPO / "src" / "repro" / package
+        modules = {
+            path.stem for path in source.glob("*.py")
+            if path.stem not in ("__init__", "__main__")
+        }
+        missing = sorted(set(named) - modules)
+        unnamed = sorted(modules - set(named))
+        assert not missing, f"DESIGN.md names no such repro/{package} module: {missing}"
+        assert not unnamed, f"DESIGN.md leaves out repro/{package} modules: {unnamed}"

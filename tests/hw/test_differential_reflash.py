@@ -1,12 +1,18 @@
 """Differential page reflash at the ISP level: digests, fallbacks, wear
-ordering, and the page-granular erase primitive."""
+ordering, the page-granular erase primitive, and a property over drawn
+images and changed-page sets against the per-page model."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.avr.memory import FlashMemory
 from repro.errors import FlashWearError, HardwareError, MemoryAccessError
-from repro.hw.isp import IspProgrammer
+from repro.hw.isp import BOOTLOADER_ENTRY_MS, IspProgrammer
 from repro.hw.serialbus import FLASH_PAGE_SIZE, PAGE_COMMAND_OVERHEAD_BYTES
+from repro.telemetry import Telemetry
 
 
 def _image(n_pages, fill=0xAB):
@@ -132,3 +138,87 @@ def test_erase_page_is_page_granular_and_invalidates():
     assert flash.dump(512, 512) == b"\xaa" * 512
     with pytest.raises(MemoryAccessError):
         flash.erase_page(flash.size - 128, 256)
+
+
+@st.composite
+def reflashes(draw):
+    """(first image, second image, changed pages): 1-12 pages, the last
+    one full or partial; no page, one page, several runs or every page
+    differs between the two images."""
+    pages = draw(st.integers(1, 12))
+    last = draw(st.one_of(st.just(FLASH_PAGE_SIZE),
+                          st.integers(1, FLASH_PAGE_SIZE)))
+    size = (pages - 1) * FLASH_PAGE_SIZE + last
+    kind = draw(st.sampled_from(("none", "one", "runs", "all")))
+    if kind == "none":
+        changed = []
+    elif kind == "one":
+        changed = [draw(st.integers(0, pages - 1))]
+    elif kind == "runs":
+        changed = sorted(draw(st.sets(st.integers(0, pages - 1),
+                                      min_size=min(2, pages))))
+    else:
+        changed = list(range(pages))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    first = bytes(rng.getrandbits(8) for _ in range(size))
+    second = bytearray(first)
+    for page in changed:
+        start = page * FLASH_PAGE_SIZE
+        second[rng.randrange(start, min(start + FLASH_PAGE_SIZE, size))] ^= (
+            rng.randrange(1, 256)
+        )
+    return first, bytes(second), changed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=reflashes(), telemetry_on=st.booleans())
+def test_reflash_matches_the_per_page_model(case, telemetry_on):
+    """Whatever runs the changed pages form: the flash ends as a full
+    reprogram leaves it, the pass is priced page by page, and telemetry
+    sees one ``flash.page_reflashed`` event per changed page, in order."""
+    first, second, changed = case
+    size = len(second)
+    pages = -(-size // FLASH_PAGE_SIZE)
+    flash = FlashMemory()
+    telemetry = Telemetry(enabled=telemetry_on)
+    isp = IspProgrammer(telemetry=telemetry)
+    isp.program(flash, first)
+    elapsed = isp.program(flash, second)
+
+    reference = FlashMemory()
+    IspProgrammer().program(reference, second)
+    assert flash.dump() == reference.dump()
+
+    sizes = [min(FLASH_PAGE_SIZE, size - page * FLASH_PAGE_SIZE)
+             for page in changed]
+    payload = sum(sizes)
+    wire = payload + len(changed) * PAGE_COMMAND_OVERHEAD_BYTES
+    link = isp.link
+    if wire < size:  # the differential pass
+        expected = (len(changed), pages - len(changed), wire,
+                    BOOTLOADER_ENTRY_MS + link.differential_programming_ms(
+                        payload, len(changed)))
+        events = [(page, page * FLASH_PAGE_SIZE, page_size)
+                  for page, page_size in zip(changed, sizes)]
+    else:  # a diff no cheaper than the whole stream: the full pass
+        expected = (pages, 0, size,
+                    BOOTLOADER_ENTRY_MS + link.programming_ms(size))
+        events = []
+    stats = isp.stats
+    assert (stats.last_pages_written, stats.last_pages_skipped,
+            stats.last_bytes_on_wire, elapsed) == expected
+
+    emitted = telemetry.events.events("flash.page_reflashed")
+    if not telemetry_on:
+        assert emitted == []
+        return
+    assert [(e["page"], e["offset"], e["size"]) for e in emitted] == events
+    # each event carries the flash generation after its page's run: one
+    # generation per run of consecutive pages, the last one the chip's
+    generations = [e["generation"] for e in emitted]
+    runs = sum(1 for i, page in enumerate(changed)
+               if i == 0 or changed[i - 1] != page - 1)
+    assert generations == sorted(generations)
+    if events:
+        assert len(set(generations)) == runs
+        assert generations[-1] == flash.generation

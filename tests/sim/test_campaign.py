@@ -280,6 +280,14 @@ def test_non_positive_timeout_rejected(timeout_s):
         CampaignRunner(timeout_s=timeout_s)
 
 
+@pytest.mark.parametrize("jobs", (0, -2))
+def test_jobs_below_one_rejected(jobs):
+    """``map_indexed`` would run such a campaign inline and the report
+    would claim ``jobs`` of 0 or -2: the runner refuses it up front."""
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        CampaignRunner(jobs=jobs)
+
+
 def test_map_indexed_orders_and_wraps_exceptions():
     def square(x):
         if x == 2:
