@@ -32,7 +32,9 @@ read by :func:`fuse`): the same, except that ``sts k``, ``out a`` and
 behind a run-time guard that no hook sits on the address (and, for
 ``push``, that the byte lies in ``[0x60, 0x2200)``).  When the guard
 fails, the body calls the handler's own method with exact counters and
-leaves right after that instruction.  What still ends a hot block:
+leaves right after that instruction — unless an ``sts``/``out`` address
+is a sink (``DataSpace.add_sink``), whose store appends the byte to the
+sink's list and runs on.  What still ends a hot block:
 ``sts`` to a register (``k < 0x20``), to SREG (``0x5F``) or out of range
 (``k >= 0x2200``); ``out`` to SREG; ``st*``/``std*``; ``sbi``/``cbi``;
 control flow; ``sei``; ``break``/``sleep``; and :data:`FUSE_CAP`.
@@ -44,8 +46,11 @@ instructions.  In practice the rules make the latency *exact*:
 every instruction that can set I or reach a write hook ends the run.  In
 a hot block, every instruction that can set I ends the block, and an
 instruction that reaches any data-space hook ends the body's execution
-right after it at run time.  So the next boundary is exactly where a
-per-instruction engine would have serviced the interrupt.
+right after it at run time.  A sink store is no exception to the
+argument: it never reads the cycle counters and never requests an
+interrupt, so ``(pending and SREG.I)`` is as false after it as before.
+So the next boundary is exactly where a per-instruction engine would
+have serviced the interrupt.
 
 Invariants:
 

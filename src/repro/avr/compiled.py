@@ -79,7 +79,14 @@ Specialization rules of a compiled body:
   the body writes its dirty locals back, sets PC, cycles and the retire
   count to the interpreter's values, calls the method the handler
   calls, and returns after that one instruction — so every data-space
-  hook runs at exact counters and at a block boundary.
+  hook runs at exact counters and at a block boundary.  Peripheral
+  registers kept as data pass these guards: a *mirror* (the sensor
+  pairs, UART status) has no read hook, so its load is a plain byte,
+  and an ``sts``/``out`` to a *sink* (UART data) appends the byte to the
+  list that stands in the write-hook table and runs on, because a sink
+  reads no counter and requests no interrupt.  A store to a mirror
+  still leaves through its write hook, which puts the device's byte
+  back.
 * **Callouts.**  ``lpm``, and ``lds`` beyond the data space, call their
   ``HANDLERS`` entry in line, bracketed by a flush of every dirty local
   before and a full reload after; fault semantics are the handlers',
@@ -365,11 +372,11 @@ class _Gen:
         ]
         return lines
 
-    def guard(self, fail: str, call: str) -> None:
+    def guard(self, fail: str, call: str, indent: str = "") -> None:
         """If ``fail`` holds, leave through ``call`` after this slot."""
-        self.raw(f"if {fail}:")
+        self.raw(f"{indent}if {fail}:")
         for line in self._writeback() + self.exit_lines([call]):
-            self.raw("    " + line)
+            self.raw(f"{indent}    {line}")
 
     def callout(self, handler: Handler, insn: Instruction) -> None:
         """Run the slot's handler in line: flush, call, reload everything.
@@ -766,13 +773,14 @@ if _orphans:  # pragma: no cover - import-time consistency check
 # A body accesses the data space as a plain byte of ``buf`` only when
 # ``DataSpace.read``/``write`` would do exactly that: the address is not a
 # register or SREG (those alias the body's locals), lies inside the data
-# space, and carries no hook.  Constant addresses are screened when the
-# body is generated and checked against the hook table at run time;
-# dynamic ones (the stack, ``ld``/``ldd`` pointers) must lie in
-# ``[_LO, _HI)``, which also keeps SPL/SPH out of the bytes a stack
-# access touches.  When a guard fails the body leaves through
-# :meth:`_Gen.guard`: dirty locals written back, exact counters, the
-# method the handler calls, and a return after that one instruction.
+# space, and carries no hook (for a constant store: no hook but a sink).
+# Constant addresses are screened when the body is generated and checked
+# against the hook table at run time; dynamic ones (the stack,
+# ``ld``/``ldd`` pointers) must lie in ``[_LO, _HI)``, which also keeps
+# SPL/SPH out of the bytes a stack access touches.  When a guard fails
+# the body leaves through :meth:`_Gen.guard`: dirty locals written back,
+# exact counters, the method the handler calls, and a return after that
+# one instruction.
 
 _LO = EXT_IO_BASE
 _HI = DATA_SPACE_SIZE
@@ -783,19 +791,29 @@ def _outside(expr: str, low: int = _LO, high: int = _HI) -> str:
     return f"{expr} < {low} or {expr} >= {high}"
 
 
-def _g_sts(g: _Gen, insn: Instruction, handler: Handler) -> None:
-    value = g.reg(insn.rr)
+def _store_constant(g: _Gen, address: int, value: str) -> None:
+    """The byte ``value`` stored to a constant ``address`` (sts, out).
+
+    Only the hooked path tests for a sink (a list in the hook table): its
+    store appends the byte and the body runs on, since a sink reads no
+    counter and requests no interrupt.  Any other hook leaves the body.
+    """
     wh = g.hooks("write")
-    g.guard(f"{insn.k} in {wh}", f"cpu.data.write({insn.k}, {value})")
-    g.raw(f"buf[{insn.k}] = {value}")
+    g.raw(f"if {address} in {wh}:")
+    g.raw(f"    _s = {wh}[{address}]")
+    g.guard("_s.__class__ is not list", f"cpu.data.write({address}, {value})",
+            indent="    ")
+    g.raw(f"    _s.append({value})")
+    g.raw(f"buf[{address}] = {value}")
+
+
+def _g_sts(g: _Gen, insn: Instruction, handler: Handler) -> None:
+    _store_constant(g, insn.k, g.reg(insn.rr))
 
 
 def _g_out(g: _Gen, insn: Instruction, handler: Handler) -> None:
-    address = insn.a + IO_TO_DATA_OFFSET  # never SREG: `out SREG` ends blocks
-    value = g.reg(insn.rr)
-    wh = g.hooks("write")
-    g.guard(f"{address} in {wh}", f"cpu.data.write({address}, {value})")
-    g.raw(f"buf[{address}] = {value}")
+    # never SREG: `out SREG` ends blocks
+    _store_constant(g, insn.a + IO_TO_DATA_OFFSET, g.reg(insn.rr))
 
 
 def _g_push(g: _Gen, insn: Instruction, handler: Handler) -> None:

@@ -34,6 +34,11 @@ from .iospace import (
 )
 
 
+# UCSR0A: transmit-ready (UDRE) always, receive-complete (RXC) while bytes wait
+_STATUS_IDLE = bytes([1 << UDRE_BIT])
+_STATUS_RX = bytes([(1 << UDRE_BIT) | (1 << RXC_BIT)])
+
+
 class Usart:
     """Byte-oriented UART visible at UDR0/UCSR0A.
 
@@ -41,38 +46,46 @@ class Usart:
     collected into :attr:`tx_log`.  The transmit-ready bit (UDRE) is always
     set — the simulation does not model UART pacing; link-level timing lives
     in :mod:`repro.hw.serialbus`.
+
+    Only a UDR0 read is a hook, because it pops :attr:`rx_queue`.  UCSR0A
+    is a data-space mirror (:meth:`~repro.avr.memory.DataSpace.add_mirror`)
+    that :meth:`feed_bytes` and every popping UDR0 read rewrite, so the
+    firmware's status poll is a plain byte read.  UDR0 stores go to a sink
+    (:meth:`~repro.avr.memory.DataSpace.add_sink`): :attr:`tx_log` itself,
+    so a transmitted byte costs no Python call.
     """
 
     def __init__(self, cpu: AvrCpu) -> None:
+        # weak: the core's hook table holds this UART's method
+        self._data = weakref.proxy(cpu.data)
         self.rx_queue: Deque[int] = deque()
         self.tx_log: List[int] = []
         cpu.data.add_read_hook(UDR0_DATA, self._read_udr)
-        cpu.data.add_write_hook(UDR0_DATA, self._write_udr)
-        cpu.data.add_read_hook(UCSR0A_DATA, self._read_status)
+        cpu.data.add_sink(UDR0_DATA, self.tx_log)
+        cpu.data.add_mirror(UCSR0A_DATA, _STATUS_IDLE)
 
     def feed_bytes(self, data: bytes) -> None:
         """Queue bytes as if they arrived from the remote end."""
         self.rx_queue.extend(data)
+        self._sync_status()
 
     def take_tx(self) -> bytes:
         """Drain and return everything the firmware transmitted."""
         out = bytes(self.tx_log)
-        self.tx_log.clear()
+        self.tx_log.clear()  # in place: the data space holds this list
         return out
 
     def _read_udr(self, _address: int) -> int:
         if self.rx_queue:
-            return self.rx_queue.popleft()
+            value = self.rx_queue.popleft()
+            self._sync_status()
+            return value
         return 0
 
-    def _write_udr(self, _address: int, value: int) -> None:
-        self.tx_log.append(value)
-
-    def _read_status(self, _address: int) -> int:
-        status = 1 << UDRE_BIT
-        if self.rx_queue:
-            status |= 1 << RXC_BIT
-        return status
+    def _sync_status(self) -> None:
+        self._data.set_mirror(
+            UCSR0A_DATA, _STATUS_RX if self.rx_queue else _STATUS_IDLE
+        )
 
 
 class EepromController:

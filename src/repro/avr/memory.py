@@ -17,7 +17,7 @@ addresses 0x5D/0x5E, and overwrite "registers" with plain stores.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Union
 
 from ..errors import MemoryAccessError
 from .iospace import IO_TO_DATA_OFFSET, SREG_DATA
@@ -156,13 +156,36 @@ class DataSpace:
     reads/writes and memory loads/stores view the same bytes — the property
     the paper's ``write_mem_gadget`` relies on.  SREG (data address 0x5F) is
     backed by a :class:`StatusRegister` so flag semantics stay exact.
+
+    Peripheral registers take one of three forms:
+
+    * a **hook** (:meth:`add_read_hook`, :meth:`add_write_hook`): a Python
+      call on every access, for registers whose access has a side effect
+      that reads the core (cycle stamps, interrupt requests) or changes
+      device state (a data-register read pops the receive queue);
+    * a **mirror** (:meth:`add_mirror`): a plain byte that its device
+      keeps current through :meth:`set_mirror` whenever its state
+      changes.  A read is a plain byte read, with no call, so a compiled
+      body's load guard passes and the body runs on.  A store leaves the
+      device's byte in place: the mirror's write hook returns it, so the
+      firmware and an attacker read back the device's value.  A raw
+      :meth:`write_block` re-syncs every mirrored byte it covers, so a
+      restored checkpoint (CToMP) reads live device values;
+    * a **sink** (:meth:`add_sink`): a write-hook entry that is the
+      device's list itself.  A store appends its byte to the list and
+      leaves it in the data space.  A sink is data only: it never reads
+      the cycle counters and never requests an interrupt, so a compiled
+      body that stores to one need not leave.  Only the hooked path tests
+      for it, so an unhooked store pays nothing for it.
     """
 
     def __init__(self, sreg: StatusRegister) -> None:
         self._bytes = bytearray(DATA_SPACE_SIZE)
         self.sreg = sreg
         self._read_hooks: Dict[int, ReadHook] = {}
-        self._write_hooks: Dict[int, WriteHook] = {}
+        self._write_hooks: Dict[int, Union[WriteHook, List[int]]] = {}
+        # mirrored address -> the byte its device keeps there
+        self._mirrors: Dict[int, int] = {}
 
     # -- hooks ---------------------------------------------------------
 
@@ -177,6 +200,30 @@ class DataSpace:
         the stored byte (how self-clearing strobe bits are modelled).
         """
         self._write_hooks[data_address] = hook
+
+    def add_mirror(self, data_address: int, data: bytes) -> None:
+        """Make the ``len(data)`` bytes from ``data_address`` on mirrors
+        holding ``data`` (see the class).
+
+        A mirror's write hook is the mirror table's ``get``: called with
+        ``(address, stored byte)`` it returns the device's byte, which
+        replaces the stored one.
+        """
+        for address in range(data_address, data_address + len(data)):
+            self._write_hooks[address] = self._mirrors.get
+        self.set_mirror(data_address, data)
+
+    def set_mirror(self, data_address: int, data: bytes) -> None:
+        """The device's side: the mirrors from ``data_address`` on now
+        read ``data``."""
+        end = data_address + len(data)
+        self._bytes[data_address:end] = data
+        self._mirrors.update(zip(range(data_address, end), data))
+
+    def add_sink(self, data_address: int, sink: List[int]) -> None:
+        """Append every byte stored to ``data_address`` to ``sink`` (see
+        the class); the byte also stays in the data space."""
+        self._write_hooks[data_address] = sink
 
     # -- registers -----------------------------------------------------
 
@@ -218,9 +265,13 @@ class DataSpace:
             self.sreg.byte = value
             return
         if address in self._write_hooks:
-            override = self._write_hooks[address](address, value)
-            if override is not None:
-                value = override & 0xFF
+            hook = self._write_hooks[address]
+            if hook.__class__ is list:  # a sink
+                hook.append(value)
+            else:
+                override = hook(address, value)
+                if override is not None:
+                    value = override & 0xFF
         self._bytes[address] = value
 
     def read_io(self, io_address: int) -> int:
@@ -254,9 +305,16 @@ class DataSpace:
         return bytes(self._bytes[address : address + length])
 
     def write_block(self, address: int, data: bytes) -> None:
-        """Write raw bytes (no hooks), for test setup."""
-        if address < 0 or address + len(data) > DATA_SPACE_SIZE:
+        """Write raw bytes (no hooks): test setup, debugger pokes and
+        checkpoint restores.  Mirrored bytes in the range keep their
+        device's value, as a store would leave them."""
+        end = address + len(data)
+        if address < 0 or end > DATA_SPACE_SIZE:
             raise MemoryAccessError(
                 f"block write out of range: 0x{address:05x}+{len(data)}"
             )
-        self._bytes[address : address + len(data)] = data
+        raw = self._bytes
+        raw[address:end] = data
+        for mirrored, value in self._mirrors.items():
+            if address <= mirrored < end:
+                raw[mirrored] = value

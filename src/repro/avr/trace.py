@@ -106,7 +106,10 @@ class ExecutionTrace:
     pair per retired store outside the register file — ``sts``, every
     ``st``/``std`` addressing mode, ``push``, ``out``, ``sbi`` and
     ``cbi`` — where ``value`` is the byte the store left at ``address``
-    (read without triggering peripheral read hooks).  It is the
+    (read without triggering peripheral read hooks).  For a data-space
+    mirror (a sensor register, UART status) that is the device's value,
+    not the byte stored, since a store leaves the mirror in place; for a
+    sink (UART data) it is the byte stored.  It is the
     behavioural-equivalence criterion used to show randomized firmware
     behaves identically to the original, and the cross-engine store
     comparison of the lockstep tests.

@@ -9,20 +9,18 @@ in the data address space" where the paper's attack overwrites them.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict
 
 from ..avr.cpu import AvrCpu
-from ..firmware.hwmap import (
-    ACCEL_X_REG,
-    ACCEL_Y_REG,
-    ACCEL_Z_REG,
-    BARO_REG,
-    GYRO_X_REG,
-    GYRO_Y_REG,
-    GYRO_Z_REG,
-    MAG_REG,
-)
+from ..firmware.hwmap import ACCEL_X_REG, GYRO_X_REG, SENSOR_REGS
+
+# Little-endian int16 register pairs side by side: all eight (gyro x/y/z,
+# accel x/y/z, barometer, magnetometer) from GYRO_X_REG, or a device's
+# three axes.
+_ALL_PAIRS = struct.Struct(f"<{len(SENSOR_REGS)}H")
+_AXES = struct.Struct("<3H")
 
 
 def _to_int16(value: float) -> int:
@@ -32,7 +30,15 @@ def _to_int16(value: float) -> int:
 
 @dataclass
 class SensorState:
-    """Physical quantities the devices report (raw sensor units)."""
+    """Physical quantities the devices report (raw sensor units).
+
+    A state changes only through :class:`SensorSuite`'s setters: a suite
+    writes the register bytes when it is constructed and on each of its
+    own setter calls, so a value changed here in place, or through
+    another suite sharing this state, reaches a suite's registers only at
+    its next setter call.  A suite built over an existing state (an
+    autopilot rebuilt over its predecessor's) starts from its values.
+    """
 
     gyro: Dict[str, float] = field(default_factory=lambda: {"x": 0.0, "y": 0.0, "z": 0.0})
     accel: Dict[str, float] = field(default_factory=lambda: {"x": 0.0, "y": 0.0, "z": 1000.0})
@@ -41,26 +47,31 @@ class SensorState:
 
 
 class SensorSuite:
-    """Installs data-space read hooks exposing :class:`SensorState`."""
+    """Exposes a :class:`SensorState` as the sensor registers.
+
+    Every register pair is a data-space mirror
+    (:meth:`~repro.avr.memory.DataSpace.add_mirror`): the suite writes its
+    bytes at construction and in every setter, so ``_to_int16`` runs once
+    per update, a firmware read is a plain byte read, and a store to a
+    sensor register leaves the device's value in place.
+    """
 
     def __init__(self, cpu: AvrCpu, state: SensorState = None) -> None:
         self.state = state if state is not None else SensorState()
-        self._register_pair(cpu, GYRO_X_REG, lambda: self.state.gyro["x"])
-        self._register_pair(cpu, GYRO_Y_REG, lambda: self.state.gyro["y"])
-        self._register_pair(cpu, GYRO_Z_REG, lambda: self.state.gyro["z"])
-        self._register_pair(cpu, ACCEL_X_REG, lambda: self.state.accel["x"])
-        self._register_pair(cpu, ACCEL_Y_REG, lambda: self.state.accel["y"])
-        self._register_pair(cpu, ACCEL_Z_REG, lambda: self.state.accel["z"])
-        self._register_pair(cpu, BARO_REG, lambda: self.state.baro)
-        self._register_pair(cpu, MAG_REG, lambda: self.state.mag)
-
-    @staticmethod
-    def _register_pair(cpu: AvrCpu, base: int, getter) -> None:
-        cpu.data.add_read_hook(base, lambda _addr: _to_int16(getter()) & 0xFF)
-        cpu.data.add_read_hook(base + 1, lambda _addr: (_to_int16(getter()) >> 8) & 0xFF)
+        self._data = cpu.data
+        gyro, accel = self.state.gyro, self.state.accel
+        values = (gyro["x"], gyro["y"], gyro["z"], accel["x"], accel["y"],
+                  accel["z"], self.state.baro, self.state.mag)
+        cpu.data.add_mirror(GYRO_X_REG, _ALL_PAIRS.pack(*map(_to_int16, values)))
 
     def set_gyro(self, x: float, y: float, z: float) -> None:
         self.state.gyro.update(x=x, y=y, z=z)
+        self._data.set_mirror(
+            GYRO_X_REG, _AXES.pack(_to_int16(x), _to_int16(y), _to_int16(z))
+        )
 
     def set_accel(self, x: float, y: float, z: float) -> None:
         self.state.accel.update(x=x, y=y, z=z)
+        self._data.set_mirror(
+            ACCEL_X_REG, _AXES.pack(_to_int16(x), _to_int16(y), _to_int16(z))
+        )

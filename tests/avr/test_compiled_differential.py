@@ -23,13 +23,19 @@ stack and SRAM bytes added or removed between chunks, and with flash
 generation switches between chunks: the copy reloaded with its own bytes,
 or one of its words rewritten through ``FlashMemory.write_word``, each
 with a filled decode cache, fused blocks and hot bindings in place.
+Loads and stores (``lds``/``sts``, pointer modes, ``in``/``out``/``sbi``/
+``cbi``/skips) also reach a mirror, whose device byte the harness
+changes between chunks, and a sink, whose list joins the compared
+state, each in SRAM and in the I/O space; and between chunks the
+harness may checkpoint the data space and write it back raw, whole (as
+CToMP's restore does) or a window of it.
 After every chunk each core must match an interpreter running the same
 program at the same base, with no trace hooks attached: registers,
 SREG, SP, PC, cycles, retired count, halt flag, interrupt state, the
-whole data space, the hook log (with the counters each hook saw) and
-any fault.  The compiled side runs at threshold 1 (every head hot at
-once), at the default threshold and with the threshold never reached
-(all cold).  Each drawn program runs twice: with an empty block index
+whole data space, the hook log (with the counters each hook saw), the
+sinks' bytes and any fault.  The compiled side runs at threshold 1
+(every head hot at once), at the default threshold and with the
+threshold never reached (all cold).  Each drawn program runs twice: with an empty block index
 (heads walk their extents), then with the index warm from the first pass
 (heads find their records by a byte probe).
 """
@@ -49,6 +55,7 @@ from repro.avr import (
     encode_stream,
 )
 from repro.avr.compiled import BLOCK_INDEX, BLOCK_STORE
+from repro.avr.iospace import IO_TO_DATA_OFFSET
 from repro.avr.memory import DATA_SPACE_SIZE, RAMEND
 from repro.errors import AvrError
 
@@ -62,11 +69,23 @@ WRITE_HOOKED = (0x0300, 0x0301)  # 0x0301's hook overrides the stored byte
 READ_HOOKED = 0x0302  # reads return a running counter
 IRQ_HOOKED = 0x0306  # writes request IRQ_VECTOR
 SPM_HOOKED = 0x0308  # writes rewrite a flash word of the running copy
-ADDRESSES = (0x02FE, 0x0300, 0x0301, 0x0302, 0x0304, 0x0310)
+MIRRORED = 0x030A  # a mirror: the harness changes its device byte
+SINK = 0x030C  # a sink: its list joins the compared state
+ADDRESSES = (0x02FE, 0x0300, 0x0301, 0x0302, 0x0304, 0x0310, MIRRORED, SINK)
 # sts/lds only: a register, SREG and SPL/SPH (never LOOP_REG)
 CONSTANT_ONLY = (0x0005, 0x0010, 0x005F, 0x005D, 0x005E)
 PLAIN_IO = 0x0A  # an unhooked I/O register
-IO_ADDRESSES = (PLAIN_IO, 0x3F, 0x3D)  # plain, SREG, SPL (moves the stack)
+IO_MIRRORED = 0x0B  # a mirror and a sink among the I/O registers
+IO_SINK = 0x0C
+BIT_IO = (PLAIN_IO, IO_MIRRORED, IO_SINK)  # sbi/cbi/sbic/sbis targets
+# plain, SREG, SPL (moves the stack), the mirror, the sink
+IO_ADDRESSES = (PLAIN_IO, 0x3F, 0x3D, IO_MIRRORED, IO_SINK)
+MIRRORS = (MIRRORED, IO_MIRRORED + IO_TO_DATA_OFFSET)
+SINKS = (SINK, IO_SINK + IO_TO_DATA_OFFSET)
+# Raw block writes of a checkpoint: the whole data space, as CToMP's
+# restore writes it, the I/O space, and an SRAM window over the mirror
+# and the sink.
+WINDOWS = ((0, DATA_SPACE_SIZE), (0x0020, 0x0060), (0x0300, 0x0310))
 LOOP_REG = 25  # the counted-loop register: nothing else writes it
 WRITABLE = tuple(r for r in range(32) if r != LOOP_REG)
 BASES = (0x0000, 0x0A31)  # word addresses of the two cores' copies
@@ -147,14 +166,15 @@ def io_op(draw):
                  a=draw(st.sampled_from(IO_ADDRESSES)))
     if kind == 1:
         # SPL rarely: moving the stack under a call is the stk_move gadget
-        a = draw(st.sampled_from((PLAIN_IO, PLAIN_IO, 0x3F, 0x3D)))
+        a = draw(st.sampled_from((PLAIN_IO, PLAIN_IO, 0x3F, 0x3D, IO_MIRRORED,
+                                  IO_SINK)))
         return I(M.OUT, a=a, rr=draw(st.integers(0, 31)))
     if kind == 2:
-        return I(draw(st.sampled_from((M.SBI, M.CBI))), a=PLAIN_IO,
-                 b=draw(st.integers(0, 7)))
+        return I(draw(st.sampled_from((M.SBI, M.CBI))),
+                 a=draw(st.sampled_from(BIT_IO)), b=draw(st.integers(0, 7)))
     if kind == 3:
-        return I(draw(st.sampled_from((M.SBIC, M.SBIS))), a=PLAIN_IO,
-                 b=draw(st.integers(0, 7)))
+        return I(draw(st.sampled_from((M.SBIC, M.SBIS))),
+                 a=draw(st.sampled_from(BIT_IO)), b=draw(st.integers(0, 7)))
     if draw(st.booleans()):
         return I(M.CPSE, rd=draw(st.integers(0, 31)), rr=draw(st.integers(0, 31)))
     return I(draw(st.sampled_from((M.SBRC, M.SBRS))),
@@ -427,6 +447,10 @@ def _core(program, base, engine, threshold=None, rewrites=()):
         cpu.data.add_write_hook(address, write_hook)
     cpu.data.add_write_hook(SPM_HOOKED, spm_hook)
     cpu.data.add_read_hook(READ_HOOKED, read_hook)
+    for address in MIRRORS:
+        cpu.data.add_mirror(address, b"\x5a")
+    for address in SINKS:
+        cpu.data.add_sink(address, [])
     return cpu, log
 
 
@@ -455,12 +479,29 @@ def _reflash(cpu, event, base, words):
         cpu.flash.write_word(base + offset % words, encode(insn)[0])
 
 
+def _between_chunks(cpu, mirror, block, checkpoint):
+    """Set the mirrors' device bytes to ``mirror`` (and its complement),
+    unless it is ``None``; then apply ``block``: ``("save",)`` returns the
+    data space as the new checkpoint, ``("restore", start, end)`` writes
+    that range of the checkpoint back raw."""
+    if mirror is not None:
+        cpu.data.set_mirror(MIRRORS[0], bytes([mirror]))
+        cpu.data.set_mirror(MIRRORS[1], bytes([mirror ^ 0xFF]))
+    if block is not None and block[0] == "save":
+        return cpu.data.read_block(0, DATA_SPACE_SIZE)
+    if block is not None and checkpoint is not None:
+        _, start, end = block
+        cpu.data.write_block(start, checkpoint[start:end])
+    return checkpoint
+
+
 def _state(cpu, log):
     return (
         cpu.pc, cpu.data.sp, cpu.sreg.byte, cpu.cycles,
         cpu.instructions_retired, cpu.halted, cpu.interrupts_serviced,
         tuple(cpu.pending_interrupts),
         cpu.data.read_block(0, DATA_SPACE_SIZE), tuple(log),
+        tuple(tuple(cpu.data._write_hooks[address]) for address in SINKS),
     )
 
 
@@ -473,26 +514,29 @@ def _run_chunk(cpu, n):
 
 
 def check_program(program, chunks, threshold, budget=3000, toggles=(),
-                  reflashes=(), rewrites=()):
+                  reflashes=(), rewrites=(), mirrors=(), blocks=()):
     """Both bases on both engines, alternately, chunk by chunk, until every
     core halts or faults or has retired ``budget`` instructions.  Before
     chunk ``i`` the hook ``toggles[i % len(toggles)]`` (if any; ``None``
-    toggles nothing) flips, and the generation switch
+    toggles nothing) flips, the generation switch
     ``reflashes[i % len(reflashes)]`` (see :func:`_reflash`; ``None``
-    switches nothing) applies, on both engines of the core about to run.
-    Every core's flash-rewriting store applies ``rewrites`` in turn."""
+    switches nothing) applies, and so do the mirror byte and raw block
+    write ``mirrors[i % len(mirrors)]`` and ``blocks[i % len(blocks)]``
+    (see :func:`_between_chunks`), on both engines of the core about to
+    run.  Every core's flash-rewriting store applies ``rewrites`` in
+    turn."""
     words = len(encode_stream(at_base(program, 0))) // 2
     cores = []
     for base in BASES:
         reference = _core(program, base, "interpreter", rewrites=rewrites)
         subject = _core(program, base, "compiled", threshold, rewrites)
-        cores.append([reference, subject, False, base])
+        cores.append([reference, subject, False, base, None])
     for step, n in enumerate(itertools.cycle(chunks)):
         live = [core for core in cores if not core[2]]
         if not live:
             return
         core = live[step % len(live)]
-        (reference, ref_log), (subject, sub_log), _, base = core
+        (reference, ref_log), (subject, sub_log), _, base, checkpoint = core
         toggle = toggles[step % len(toggles)] if toggles else None
         if toggle is not None:
             _toggle(reference, *toggle)
@@ -501,6 +545,10 @@ def check_program(program, chunks, threshold, budget=3000, toggles=(),
         if event is not None:
             _reflash(reference, event, base, words)
             _reflash(subject, event, base, words)
+        mirror = mirrors[step % len(mirrors)] if mirrors else None
+        block = blocks[step % len(blocks)] if blocks else None
+        core[4] = _between_chunks(reference, mirror, block, checkpoint)
+        _between_chunks(subject, mirror, block, checkpoint)
         ref_fault = _run_chunk(reference, n)
         sub_fault = _run_chunk(subject, n)
         assert sub_fault == ref_fault
@@ -523,21 +571,29 @@ rewrite_lists = st.lists(
     st.tuples(st.integers(-2, 8), st.one_of(st.none(), alu_op())),
     max_size=4,
 )
+mirror_lists = st.lists(st.one_of(st.none(), st.integers(0, 255)), max_size=6)
+block_lists = st.lists(
+    st.one_of(st.none(), st.just(("save",)),
+              st.sampled_from(WINDOWS).map(lambda window: ("restore",) + window)),
+    max_size=6,
+)
 
 
 @pytest.mark.parametrize("threshold", THRESHOLDS, ids=("hot", "default", "cold"))
 @settings(max_examples=25, deadline=None)
 @given(program=programs(), chunks=chunk_lists, toggles=toggle_lists,
-       reflashes=reflash_lists, rewrites=rewrite_lists)
+       reflashes=reflash_lists, rewrites=rewrite_lists, mirrors=mirror_lists,
+       blocks=block_lists)
 def test_shared_bodies_match_interpreter(threshold, program, chunks, toggles,
-                                         reflashes, rewrites):
+                                         reflashes, rewrites, mirrors, blocks):
     """Each program runs twice: first with an empty block index, so heads
     walk their extents, then with the index holding this program's
     natural blocks, so heads find their records by a byte probe."""
     BLOCK_INDEX.clear()
     for _ in range(2):
         check_program(program, chunks, threshold, toggles=toggles,
-                      reflashes=reflashes, rewrites=rewrites)
+                      reflashes=reflashes, rewrites=rewrites,
+                      mirrors=mirrors, blocks=blocks)
 
 
 def _counted_access_program(access):
@@ -665,3 +721,24 @@ def test_spm_self_write_mid_block_matches_interpreter(delta):
     for threshold in THRESHOLDS:
         BLOCK_STORE.clear()
         check_program(program, [7, 40], threshold, rewrites=rewrites)
+
+
+def test_mirrors_sinks_and_raw_restores_in_a_hot_loop_match_interpreter():
+    """A loop body loads both mirrors and stores to both sinks (the ``sts``
+    and ``out`` sink paths stay in the body) and to a mirror, while the
+    harness changes the mirrors' device bytes, checkpoints the data space
+    and writes it back whole or in windows between chunks, at both bases
+    on every tier."""
+    program = assemble(
+        [("loop", 30, [[I(M.LDS, rd=16, k=MIRRORED), I(M.STS, k=SINK, rr=16),
+                        I(M.IN, rd=17, a=IO_MIRRORED), I(M.OUT, a=IO_SINK, rr=17),
+                        I(M.INC, rd=18), I(M.STS, k=SINK, rr=18),
+                        I(M.STS, k=MIRRORED, rr=18), I(M.INC, rd=19)]])],
+        [],
+    )
+    mirrors = [None, 0x01, 0x80, None, 0xFF]
+    blocks = [None, ("save",), None, ("restore",) + WINDOWS[0],
+              ("restore",) + WINDOWS[1], ("restore",) + WINDOWS[2]]
+    for threshold in THRESHOLDS:
+        check_program(program, [5, 11, 23], threshold, mirrors=mirrors,
+                      blocks=blocks)
