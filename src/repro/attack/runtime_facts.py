@@ -37,16 +37,6 @@ class RuntimeFacts:
     buffer_start: int  # data address of the vulnerable buffer's first byte
     buffer_size: int
 
-    @property
-    def saved_r29_slot(self) -> int:
-        """Data address holding the pushed r29 (buffer overflow reaches it)."""
-        return self.frame_sp - 1
-
-    @property
-    def return_address_slot(self) -> int:
-        """Lowest data address of the 3-byte pushed return address."""
-        return self.frame_sp + 1
-
 
 def find_handler_call_site(image: FirmwareImage, handler: str = "mavlink_handle_rx") -> int:
     """Locate the ``call <handler>`` site by static disassembly.
@@ -80,7 +70,30 @@ def derive_runtime_facts(
     handler: str = "mavlink_handle_rx",
     max_instructions: int = 500_000,
 ) -> RuntimeFacts:
-    """Dry-run the binary up to the handler call and read the machine state."""
+    """Dry-run the binary up to the handler call and read the machine state.
+
+    The facts ride on the image (not as a field, so ``dataclasses.replace``
+    never copies them), like its layout plan: a second call on the same
+    binary is a lookup, and an image whose ``code`` or ``symbols`` was
+    replaced since is dry-run again.
+    """
+    kept = image.__dict__.get("_runtime_facts")
+    if (
+        kept is not None
+        and kept[0] is image.code
+        and kept[1] is image.symbols
+        and kept[2:5] == (len(image.symbols), handler, max_instructions)
+    ):
+        return kept[5]
+    facts = _dry_run(image, handler, max_instructions)
+    image._runtime_facts = (
+        image.code, image.symbols, len(image.symbols), handler,
+        max_instructions, facts,
+    )
+    return facts
+
+
+def _dry_run(image: FirmwareImage, handler: str, max_instructions: int) -> RuntimeFacts:
     call_site = find_handler_call_site(image, handler)
     insn, size = decode_at(image.code, call_site)
     return_address_word = call_site // 2 + size // 2

@@ -38,6 +38,42 @@ def test_runtime_facts(testapp):
     assert (facts.saved_r28, facts.saved_r29) == (again.saved_r28, again.saved_r29)
 
 
+def test_runtime_facts_kept_per_image(testapp, monkeypatch):
+    """One dry run per binary; a copy or a replaced code/symbols re-runs it."""
+    import dataclasses
+    import random
+
+    from repro.attack import runtime_facts
+    from repro.core import randomize_image
+
+    dry_runs = []
+    dry_run = runtime_facts._dry_run
+    monkeypatch.setattr(
+        runtime_facts, "_dry_run",
+        lambda *args: dry_runs.append(args) or dry_run(*args),
+    )
+    image = dataclasses.replace(testapp)
+    facts = derive_runtime_facts(image)
+    assert derive_runtime_facts(image) is facts
+    assert len(dry_runs) == 1
+    copy = dataclasses.replace(image)  # the facts are not a field
+    assert derive_runtime_facts(copy) == facts
+    assert len(dry_runs) == 2
+
+    randomized, _permutation = randomize_image(testapp, random.Random(5))
+    image.code = randomized.code
+    image.symbols = randomized.symbols
+    moved = derive_runtime_facts(image)
+    assert len(dry_runs) == 3
+    assert moved == derive_runtime_facts(randomized)
+    assert moved.call_site != facts.call_site
+    image.code = bytes(bytearray(image.code))  # equal bytes, another object
+    assert derive_runtime_facts(image) == moved
+    assert len(dry_runs) == 5
+    with pytest.raises(AttackError):  # its own arguments, its own run
+        derive_runtime_facts(image, max_instructions=10)
+
+
 def test_variable_address_rejects_functions(testapp):
     with pytest.raises(AttackError):
         variable_address(testapp, "main")
